@@ -21,6 +21,13 @@ let override = Atomic.make 0 (* 0 = no override, fall back to XQ_PARALLEL *)
 
 let set_default_degree n = Atomic.set override (max 1 (min n degree_cap))
 
+let get_override () =
+  match Atomic.get override with 0 -> None | n -> Some n
+
+let set_override = function
+  | None -> Atomic.set override 0
+  | Some n -> set_default_degree n
+
 let default_degree () =
   match Atomic.get override with
   | 0 -> Lazy.force env_degree

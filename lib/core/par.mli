@@ -16,6 +16,14 @@ val default_degree : unit -> int
     [--parallel N]). Clamped to [1 .. degree_cap]. *)
 val set_default_degree : int -> unit
 
+(** The current {!set_default_degree} override, if any — save/restore
+    this around a scoped override. *)
+val get_override : unit -> int option
+
+(** [set_override None] drops the override (back to [XQ_PARALLEL] or
+    1); [set_override (Some n)] is [set_default_degree n]. *)
+val set_override : int option -> unit
+
 (** Parse a degree string as [XQ_PARALLEL] would ([None] when invalid or
     < 1). *)
 val parse_degree : string -> int option

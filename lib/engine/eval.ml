@@ -566,7 +566,8 @@ and fill_element ctx el content =
         pending_sep := false;
         flush_text ())
     content;
-  flush_text ()
+  flush_text ();
+  Node.seal el
 
 (* --- FLWOR -------------------------------------------------------------- *)
 

@@ -134,20 +134,16 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
           f (Some g))
   in
   governed (fun gov ->
-      (match knobs.k_parallel with
-       | Some n -> Xq_par.Par.set_default_degree n
-       | None -> ());
-      (* The batch override is process-wide; restore it on exit so a
-         per-request --batch in the server does not outlive its
-         request. *)
+      (* The parallel and batch overrides are process-wide; restore them
+         on exit so a per-request PARALLEL or --batch in the server does
+         not outlive its request. *)
+      let saved_degree = Xq_par.Par.get_override () in
       let saved_batch = Xq_par.Batch.get_override () in
-      (match knobs.k_batch with
-       | Some n -> Xq_par.Batch.set_size (Some n)
-       | None -> ());
+      Option.iter Xq_par.Par.set_default_degree knobs.k_parallel;
+      Option.iter (fun n -> Xq_par.Batch.set_size (Some n)) knobs.k_batch;
       Fun.protect ~finally:(fun () ->
-          match knobs.k_batch with
-          | Some _ -> Xq_par.Batch.set_size saved_batch
-          | None -> ())
+          if knobs.k_parallel <> None then Xq_par.Par.set_override saved_degree;
+          if knobs.k_batch <> None then Xq_par.Batch.set_size saved_batch)
       @@ fun () ->
       let compiled_memo = ref compiled in
       let get_compiled () =

@@ -575,6 +575,7 @@ let key_item rng =
         (Node.attribute (nm "k") (Prng.pick rng [| "a"; "b" |]));
     if not (Prng.one_in rng 4) then
       Node.append_child el (Node.text (Prng.pick rng [| "1"; "2"; "x" |]));
+    Node.seal el;
     Item.Node el
 
 let key_lists seed =

@@ -592,7 +592,8 @@ and fill_element ctx el content =
           (eval ctx e);
         flush ())
     content;
-  flush ()
+  flush ();
+  Node.seal el
 
 (* --- FLWOR --------------------------------------------------------------- *)
 

@@ -38,10 +38,10 @@ let create ?(capacity_bytes = 256 * 1024 * 1024) ?account () =
     resident = 0;
   }
 
-(* An XDM tree costs a small multiple of the serialized bytes (records
-   per node, per-string headers); ×4 plus a floor is deterministic and
-   close enough for an admission gauge. *)
-let estimate_bytes ~size = (4 * size) + 512
+(* Every heap word reachable from the document node, headers included:
+   the tree, its strings and its interned names, and nothing else (a
+   parsed tree points only into itself). One walk per load. *)
+let tree_bytes node = Obj.reachable_words (Obj.repr node) * (Sys.word_size / 8)
 
 let charge t n =
   t.resident <- t.resident + n;
@@ -130,6 +130,7 @@ let load t path =
        both parse; the first insert wins and the loser's tree is
        dropped, trading a little duplicate work for no lock-held IO *)
     let node = Xq_xml.Xml_parse.parse_file path in
+    let bytes = tree_bytes node in
     locked t (fun () ->
         match Hashtbl.find_opt t.table path with
         | Some e when fresh e st0 ->
@@ -148,7 +149,7 @@ let load t path =
               e_mtime = mtime;
               e_size = size;
               e_ino = ino;
-              e_bytes = estimate_bytes ~size;
+              e_bytes = bytes;
               e_gen = 0;
             }
           in

@@ -8,10 +8,10 @@
     lock, so both in-place rewrites and rename-swaps that preserve
     mtime and size are caught — and a changed file is reparsed in
     place with the stale tree dropped. Capacity is a resident-byte bound with
-    least-recently-used eviction; bytes (an estimate — the node tree
-    costs a small multiple of the serialized form) are charged against
-    an optional accounting governor feeding the server's admission
-    gauge. All operations are thread-safe. *)
+    least-recently-used eviction; each tree's bytes, measured once when
+    it is parsed, are charged against an optional accounting governor
+    feeding the server's admission gauge. All operations are
+    thread-safe. *)
 
 type t
 
@@ -21,9 +21,10 @@ type t
 val create :
   ?capacity_bytes:int -> ?account:Xq_governor.Governor.t -> unit -> t
 
-(** The deterministic resident estimate for a file of [size] bytes —
-    exposed so tests can predict eviction. *)
-val estimate_bytes : size:int -> int
+(** The heap bytes of a parsed tree, as {!load} charges them: every word
+    reachable from the node, headers included — exposed so tests can
+    predict eviction. *)
+val tree_bytes : Xq_xdm.Node.t -> int
 
 (** [load t path] returns the resident document for [path], parsing it
     on first use or when its (mtime, size, inode) changed since it was

@@ -254,6 +254,7 @@ let rec get_tree r =
     for _ = 1 to n_children do
       Node.append_child el (get_tree r)
     done;
+    Node.seal el;
     el
   | c when c = Char.code 'T' -> Node.text_with_id ~id (get_string r)
   | c when c = Char.code 'C' -> Node.comment_with_id ~id (get_string r)

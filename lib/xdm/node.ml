@@ -1,24 +1,35 @@
 type kind = Document | Element | Attribute | Text | Comment | Pi
 
-type t = {
-  id : int;
-  mutable parent : t option;
-  body : body;
-}
+(* One heap block per node: the constructor tag is the kind and the
+   fields sit inline. A missing parent is the [orphan] sentinel
+   rather than an option box.
 
-(* Children are stored in reverse so append_child is O(1); accessors
-   reverse on demand, which is no worse than the traversal that follows. *)
-and body =
-  | BDocument of { mutable rev_children : t list }
-  | BElement of {
+   Child and attribute lists are built reversed so [append_child] and
+   [set_attribute] are O(1); [seal] reverses them once, when the builder
+   closes the node, and flips [sealed]. Readers of a sealed node get the
+   stored lists as they are: no allocation and no write, so trees shared
+   between domains are never mutated by a read. An unsealed node still
+   reads correctly, reversing a copy. Appending to a sealed node reopens
+   it. A fresh node starts sealed: its lists are empty, so childless
+   nodes never need a [seal] call. *)
+type t =
+  | NDocument of { id : int; mutable kids : t list; mutable sealed : bool }
+  | NElement of {
+      id : int;
+      mutable parent : t;
       name : Xname.t;
-      mutable rev_attributes : t list;
-      mutable rev_children : t list;
+      mutable attrs : t list;
+      mutable kids : t list;
+      mutable sealed : bool;
     }
-  | BAttribute of { name : Xname.t; value : string }
-  | BText of { text : string }
-  | BComment of string
-  | BPi of { target : string; data : string }
+  | NAttribute of { id : int; mutable parent : t; name : Xname.t; value : string }
+  | NText of { id : int; mutable parent : t; text : string }
+  | NComment of { id : int; mutable parent : t; text : string }
+  | NPi of { id : int; mutable parent : t; target : string; data : string }
+
+(* Never handed out: no reader can reach it except through [parent_raw],
+   whose callers compare against it physically. *)
+let orphan = NDocument { id = 0; kids = []; sealed = true }
 
 let counter = ref 0
 
@@ -26,168 +37,204 @@ let fresh_id () = incr counter; !counter
 
 let reset_ids_for_testing () = counter := 0
 
-let mk body = { id = fresh_id (); parent = None; body }
-
-let document () = mk (BDocument { rev_children = [] })
-let element name = mk (BElement { name; rev_attributes = []; rev_children = [] })
-let attribute name value = mk (BAttribute { name; value })
-let text s = mk (BText { text = s })
-let comment s = mk (BComment s)
-let pi ~target ~data = mk (BPi { target; data })
+let document () = NDocument { id = fresh_id (); kids = []; sealed = true }
 
 (* Explicit-id constructors for the spill codec: a decoded streamed
    subtree keeps its original ids so document order survives the round
    trip. Ids come from earlier [fresh_id] calls of the same process, so
    the monotone counter never reissues them to new nodes. *)
-let mk_id id body = { id; parent = None; body }
-
 let element_with_id ~id name =
-  mk_id id (BElement { name; rev_attributes = []; rev_children = [] })
+  NElement { id; parent = orphan; name; attrs = []; kids = []; sealed = true }
 
-let attribute_with_id ~id name value = mk_id id (BAttribute { name; value })
-let text_with_id ~id s = mk_id id (BText { text = s })
-let comment_with_id ~id s = mk_id id (BComment s)
-let pi_with_id ~id ~target ~data = mk_id id (BPi { target; data })
+let attribute_with_id ~id name value =
+  NAttribute { id; parent = orphan; name; value }
 
-let kind n =
-  match n.body with
-  | BDocument _ -> Document
-  | BElement _ -> Element
-  | BAttribute _ -> Attribute
-  | BText _ -> Text
-  | BComment _ -> Comment
-  | BPi _ -> Pi
+let text_with_id ~id text = NText { id; parent = orphan; text }
+let comment_with_id ~id text = NComment { id; parent = orphan; text }
+let pi_with_id ~id ~target ~data = NPi { id; parent = orphan; target; data }
 
-let id n = n.id
-let parent n = n.parent
+let element name = element_with_id ~id:(fresh_id ()) name
+let attribute name value = attribute_with_id ~id:(fresh_id ()) name value
+let text s = text_with_id ~id:(fresh_id ()) s
+let comment s = comment_with_id ~id:(fresh_id ()) s
+let pi ~target ~data = pi_with_id ~id:(fresh_id ()) ~target ~data
+
+let kind = function
+  | NDocument _ -> Document
+  | NElement _ -> Element
+  | NAttribute _ -> Attribute
+  | NText _ -> Text
+  | NComment _ -> Comment
+  | NPi _ -> Pi
+
+let id = function
+  | NDocument { id; _ }
+  | NElement { id; _ }
+  | NAttribute { id; _ }
+  | NText { id; _ }
+  | NComment { id; _ }
+  | NPi { id; _ } -> id
+
+let parent_raw = function
+  | NDocument _ -> orphan
+  | NElement { parent; _ }
+  | NAttribute { parent; _ }
+  | NText { parent; _ }
+  | NComment { parent; _ }
+  | NPi { parent; _ } -> parent
+
+let parent n =
+  let p = parent_raw n in
+  if p == orphan then None else Some p
+
+let set_parent c p =
+  match c with
+  | NElement r -> r.parent <- p
+  | NAttribute r -> r.parent <- p
+  | NText r -> r.parent <- p
+  | NComment r -> r.parent <- p
+  | NPi r -> r.parent <- p
+  | NDocument _ -> assert false
+
+(* Reversal that leaves the common zero- and one-element lists shared. *)
+let rev = function ([] | [ _ ]) as l -> l | l -> List.rev l
+
+(* Put the child and attribute lists of [n] in document order
+   ([sealed = true]) or in reverse, append-ready order. *)
+let orient n ~sealed =
+  match n with
+  | NDocument d when d.sealed <> sealed ->
+    d.kids <- rev d.kids;
+    d.sealed <- sealed
+  | NElement e when e.sealed <> sealed ->
+    e.kids <- rev e.kids;
+    e.attrs <- rev e.attrs;
+    e.sealed <- sealed
+  | NDocument _ | NElement _ | NAttribute _ | NText _ | NComment _ | NPi _ -> ()
+
+let seal n = orient n ~sealed:true
 
 let append_child p c =
-  (match c.body with
-   | BAttribute _ -> invalid_arg "Node.append_child: attribute child"
-   | BDocument _ -> invalid_arg "Node.append_child: document child"
-   | BElement _ | BText _ | BComment _ | BPi _ -> ());
-  match p.body with
-  | BDocument d -> c.parent <- Some p; d.rev_children <- c :: d.rev_children
-  | BElement e -> c.parent <- Some p; e.rev_children <- c :: e.rev_children
-  | BAttribute _ | BText _ | BComment _ | BPi _ ->
+  (match c with
+   | NAttribute _ -> invalid_arg "Node.append_child: attribute child"
+   | NDocument _ -> invalid_arg "Node.append_child: document child"
+   | NElement _ | NText _ | NComment _ | NPi _ -> ());
+  orient p ~sealed:false;
+  match p with
+  | NDocument d ->
+    set_parent c p;
+    d.kids <- c :: d.kids
+  | NElement e ->
+    set_parent c p;
+    e.kids <- c :: e.kids
+  | NAttribute _ | NText _ | NComment _ | NPi _ ->
     invalid_arg "Node.append_child: receiver cannot have children"
 
 let set_attribute p a =
-  match p.body, a.body with
-  | BElement e, BAttribute { name; _ } ->
-    let dup other =
-      match other.body with
-      | BAttribute { name = n'; _ } -> Xname.equal n' name
+  match p, a with
+  | NElement e, NAttribute { name; _ } ->
+    let dup = function
+      | NAttribute { name = n'; _ } -> Xname.equal n' name
       | _ -> false
     in
-    if List.exists dup e.rev_attributes then
+    if List.exists dup e.attrs then
       Xerror.failf XQDY0025 "duplicate attribute %s" (Xname.to_string name);
-    a.parent <- Some p;
-    e.rev_attributes <- a :: e.rev_attributes
-  | BElement _, _ -> invalid_arg "Node.set_attribute: not an attribute"
+    orient p ~sealed:false;
+    set_parent a p;
+    e.attrs <- a :: e.attrs
+  | NElement _, _ -> invalid_arg "Node.set_attribute: not an attribute"
   | _, _ -> invalid_arg "Node.set_attribute: receiver not an element"
 
-let children n =
-  match n.body with
-  | BDocument d -> List.rev d.rev_children
-  | BElement e -> List.rev e.rev_children
-  | BAttribute _ | BText _ | BComment _ | BPi _ -> []
+let children = function
+  | NDocument { kids; sealed; _ } | NElement { kids; sealed; _ } ->
+    if sealed then kids else List.rev kids
+  | NAttribute _ | NText _ | NComment _ | NPi _ -> []
 
-let attributes n =
-  match n.body with
-  | BElement e -> List.rev e.rev_attributes
-  | BDocument _ | BAttribute _ | BText _ | BComment _ | BPi _ -> []
+let attributes = function
+  | NElement { attrs; sealed; _ } -> if sealed then attrs else List.rev attrs
+  | NDocument _ | NAttribute _ | NText _ | NComment _ | NPi _ -> []
 
-let name n =
-  match n.body with
-  | BElement e -> Some e.name
-  | BAttribute a -> Some a.name
-  | BDocument _ | BText _ | BComment _ | BPi _ -> None
+let name = function
+  | NElement { name; _ } | NAttribute { name; _ } -> Some name
+  | NDocument _ | NText _ | NComment _ | NPi _ -> None
 
-let local_name n =
-  match n.body with
-  | BElement e -> e.name.Xname.local
-  | BAttribute a -> a.name.Xname.local
-  | BPi p -> p.target
-  | BDocument _ | BText _ | BComment _ -> ""
+let local_name = function
+  | NElement { name; _ } | NAttribute { name; _ } -> name.Xname.local
+  | NPi { target; _ } -> target
+  | NDocument _ | NText _ | NComment _ -> ""
 
-let is_element n = match n.body with BElement _ -> true | _ -> false
-let is_attribute n = match n.body with BAttribute _ -> true | _ -> false
-let is_text n = match n.body with BText _ -> true | _ -> false
+let is_element = function NElement _ -> true | _ -> false
+let is_attribute = function NAttribute _ -> true | _ -> false
+let is_text = function NText _ -> true | _ -> false
 
-let attribute_value n =
-  match n.body with
-  | BAttribute a -> a.value
+let attribute_value = function
+  | NAttribute { value; _ } -> value
   | _ -> invalid_arg "Node.attribute_value: not an attribute"
 
-let text_content n =
-  match n.body with
-  | BText t -> t.text
+let text_content = function
+  | NText { text; _ } -> text
   | _ -> invalid_arg "Node.text_content: not a text node"
 
-let comment_text n =
-  match n.body with
-  | BComment s -> s
+let comment_text = function
+  | NComment { text; _ } -> text
   | _ -> invalid_arg "Node.comment_text: not a comment"
 
-let pi_target n =
-  match n.body with
-  | BPi p -> p.target
+let pi_target = function
+  | NPi { target; _ } -> target
   | _ -> invalid_arg "Node.pi_target: not a PI"
 
-let pi_data n =
-  match n.body with
-  | BPi p -> p.data
+let pi_data = function
+  | NPi { data; _ } -> data
   | _ -> invalid_arg "Node.pi_data: not a PI"
 
 let string_value n =
-  match n.body with
-  | BAttribute a -> a.value
-  | BText t -> t.text
-  | BComment s -> s
-  | BPi p -> p.data
-  | BDocument _ | BElement _ ->
+  match n with
+  | NAttribute { value = s; _ }
+  | NText { text = s; _ }
+  | NComment { text = s; _ }
+  | NPi { data = s; _ } -> s
+  | NDocument _ | NElement _ ->
     let buf = Buffer.create 64 in
     let rec go n =
-      match n.body with
-      | BText t -> Buffer.add_string buf t.text
-      | BElement e -> List.iter go (List.rev e.rev_children)
-      | BDocument d -> List.iter go (List.rev d.rev_children)
-      | BAttribute _ | BComment _ | BPi _ -> ()
+      match n with
+      | NText { text; _ } -> Buffer.add_string buf text
+      | NElement _ | NDocument _ -> List.iter go (children n)
+      | NAttribute _ | NComment _ | NPi _ -> ()
     in
     go n;
     Buffer.contents buf
 
 let typed_value n =
-  match n.body with
-  | BComment s -> Atomic.Str s
-  | BPi p -> Atomic.Str p.data
-  | BDocument _ | BElement _ | BAttribute _ | BText _ ->
+  match n with
+  | NComment { text; _ } -> Atomic.Str text
+  | NPi { data; _ } -> Atomic.Str data
+  | NDocument _ | NElement _ | NAttribute _ | NText _ ->
     Atomic.Untyped (string_value n)
 
 let copy n =
   let rec go n =
-    match n.body with
-    | BDocument _ ->
+    match n with
+    | NDocument _ ->
       let d = document () in
       List.iter (fun c -> append_child d (go c)) (children n);
+      seal d;
       d
-    | BElement e ->
-      let el = element e.name in
+    | NElement { name; _ } ->
+      let el = element name in
       List.iter (fun a -> set_attribute el (go a)) (attributes n);
       List.iter (fun c -> append_child el (go c)) (children n);
+      seal el;
       el
-    | BAttribute a -> attribute a.name a.value
-    | BText t -> text t.text
-    | BComment s -> comment s
-    | BPi p -> pi ~target:p.target ~data:p.data
+    | NAttribute { name; value; _ } -> attribute name value
+    | NText { text = s; _ } -> text s
+    | NComment { text; _ } -> comment text
+    | NPi { target; data; _ } -> pi ~target ~data
   in
   go n
 
 let rec root n =
-  match n.parent with
-  | None -> n
-  | Some p -> root p
+  let p = parent_raw n in
+  if p == orphan then n else root p
 
 let descendants n =
   let rec go acc n =
@@ -199,16 +246,14 @@ let descendant_or_self n = n :: descendants n
 
 let ancestors n =
   let rec go acc n =
-    match n.parent with
-    | None -> List.rev acc
-    | Some p -> go (p :: acc) p
+    let p = parent_raw n in
+    if p == orphan then List.rev acc else go (p :: acc) p
   in
   go [] n
 
 let siblings_of n =
-  match n.parent with
-  | None -> []
-  | Some p -> if is_attribute n then [] else children p
+  let p = parent_raw n in
+  if p == orphan || is_attribute n then [] else children p
 
 let following_siblings n =
   let rec after = function
@@ -224,22 +269,22 @@ let preceding_siblings n =
   in
   before [] (siblings_of n)
 
-let doc_order_compare a b = Int.compare a.id b.id
+let doc_order_compare a b = Int.compare (id a) (id b)
 
-let same a b = a.id = b.id
+let same a b = id a = id b
 
 let sort_in_doc_order nodes =
   (* Path steps almost always produce already-ordered, duplicate-free
      results; detect that in one pass before paying for a sort. *)
   let rec strictly_sorted = function
-    | a :: (b :: _ as rest) -> a.id < b.id && strictly_sorted rest
+    | a :: (b :: _ as rest) -> id a < id b && strictly_sorted rest
     | [ _ ] | [] -> true
   in
   if strictly_sorted nodes then nodes
   else begin
     let sorted = List.sort doc_order_compare nodes in
     let rec dedup = function
-      | a :: (b :: _ as rest) when a.id = b.id -> dedup rest
+      | a :: (b :: _ as rest) when id a = id b -> dedup rest
       | a :: rest -> a :: dedup rest
       | [] -> []
     in

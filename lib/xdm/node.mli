@@ -7,8 +7,10 @@
     model permits. Element construction in queries copies its content
     (fresh ids), matching the XQuery constructor semantics.
 
-    The representation is abstract so children can be stored for O(1)
-    append; inspect nodes through {!kind} and the accessors. *)
+    The representation is abstract: one heap block per node, with child
+    and attribute lists built reversed for O(1) append and put in
+    document order once by {!seal}. Inspect nodes through {!kind} and
+    the accessors. *)
 
 type t
 
@@ -23,9 +25,10 @@ val text : string -> t
 val comment : string -> t
 val pi : target:string -> data:string -> t
 
-(** Append a child (sets its parent); O(1). Raises [Invalid_argument]
-    when the receiver cannot have children or the child is an attribute
-    or document. *)
+(** Append a child (sets its parent); O(1) on an open node. Raises
+    [Invalid_argument] when the receiver cannot have children or the
+    child is an attribute or document. Appending to a sealed node
+    reopens it. *)
 val append_child : t -> t -> unit
 
 (** Attach an attribute to an element (sets its parent). Raises
@@ -33,6 +36,15 @@ val append_child : t -> t -> unit
     [Invalid_argument] when the receiver is not an element or the
     argument not an attribute. *)
 val set_attribute : t -> t -> unit
+
+(** Close a node under construction: put its children and attributes in
+    document order, once. Every builder seals each document and element
+    node when it finishes it; reading a sealed node's {!children} or
+    {!attributes} then returns the stored list, allocating and writing
+    nothing, so sealed trees are safe to read from several domains. An
+    unsealed node reads correctly but pays a reversal per read. No-op on
+    sealed and childless kinds. *)
+val seal : t -> unit
 
 (** Deep copy with fresh ids assigned in preorder (used by element
     constructors). *)

@@ -13,27 +13,36 @@ let txt s = P_txt s
 let attr name value = P_attr (name, value)
 let comment_part s = P_comment s
 
-let rec build = function
-  | P_el (name, attrs, parts) ->
-    let node = Node.element (Xname.of_string name) in
-    List.iter
-      (fun (k, v) -> Node.set_attribute node (Node.attribute (Xname.of_string k) v))
-      attrs;
-    List.iter
-      (fun p ->
-        match p with
-        | P_attr (k, v) ->
-          Node.set_attribute node (Node.attribute (Xname.of_string k) v)
-        | P_el _ | P_txt _ | P_comment _ -> Node.append_child node (build p))
-      parts;
-    node
-  | P_txt s -> Node.text s
-  | P_attr (k, v) -> Node.attribute (Xname.of_string k) v
-  | P_comment s -> Node.comment s
+(* Names go through one intern table per built tree, as in a parse. *)
+let build_with names =
+  let name s = Xname.intern names s 0 (String.length s) in
+  let rec build = function
+    | P_el (n, attrs, parts) ->
+      let node = Node.element (name n) in
+      List.iter
+        (fun (k, v) -> Node.set_attribute node (Node.attribute (name k) v))
+        attrs;
+      List.iter
+        (fun p ->
+          match p with
+          | P_attr (k, v) -> Node.set_attribute node (Node.attribute (name k) v)
+          | P_el _ | P_txt _ | P_comment _ -> Node.append_child node (build p))
+        parts;
+      Node.seal node;
+      node
+    | P_txt s -> Node.text s
+    | P_attr (k, v) -> Node.attribute (name k) v
+    | P_comment s -> Node.comment s
+  in
+  build
+
+let build p = build_with (Xname.table ()) p
 
 let build_document parts =
+  let build = build_with (Xname.table ()) in
   let d = Node.document () in
   List.iter (fun p -> Node.append_child d (build p)) parts;
+  Node.seal d;
   d
 
 let doc part = build_document [ part ]

@@ -21,6 +21,9 @@ type state = {
   mutable depth : int;
   max_depth : int;
   depth_src : limit_source;
+  names : Xname.table;  (* element and attribute names of this parse *)
+  text : Buffer.t;  (* pending character data; see [flush_text] *)
+  mutable keep_text : bool;  (* it has an entity, CDATA or a non-space *)
 }
 
 let error st msg =
@@ -41,9 +44,14 @@ let eat st c =
   if peek st = c then advance st
   else error st (Printf.sprintf "expected %C, found %C" c (peek st))
 
+let rec matches_at src pos s i =
+  i = String.length s
+  || String.unsafe_get src (pos + i) = String.unsafe_get s i
+     && matches_at src pos s (i + 1)
+
 let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = s
+  st.pos + String.length s <= String.length st.src
+  && matches_at st.src st.pos s 0
 
 let skip_string st s =
   if looking_at st s then
@@ -61,11 +69,21 @@ let is_name_start = function
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
-let read_name st =
+(* Skip a name, returning where it started. *)
+let skip_name st =
   if not (is_name_start (peek st)) then error st "expected a name";
   let start = st.pos in
   while (not (at_end st)) && is_name_char (peek st) do advance st done;
+  start
+
+let read_name st =
+  let start = skip_name st in
   String.sub st.src start (st.pos - start)
+
+(* An element or attribute name, interned for this parse. *)
+let read_qname st =
+  let start = skip_name st in
+  Xname.intern st.names st.src start (st.pos - start)
 
 let read_char_ref st =
   (* after "&#" *)
@@ -197,86 +215,101 @@ let rec parse_element st =
   (* at '<' of a start tag *)
   eat st '<';
   enter_element st;
-  let name = read_name st in
-  let el = Node.element (Xname.of_string name) in
+  let name = read_qname st in
+  let el = Node.element name in
   let rec attrs () =
     skip_ws st;
     match peek st with
     | '>' -> advance st; parse_content st el name
     | '/' -> advance st; eat st '>'
     | c when is_name_start c ->
-      let aname = read_name st in
+      let aname = read_qname st in
       skip_ws st;
       eat st '=';
       skip_ws st;
       let v = read_attr_value st in
-      Node.set_attribute el (Node.attribute (Xname.of_string aname) v);
+      Node.set_attribute el (Node.attribute aname v);
       attrs ()
     | _ -> error st "malformed start tag"
   in
   attrs ();
+  Node.seal el;
   st.depth <- st.depth - 1;
   el
 
+(* Character data accumulates in the parse's one [text] buffer (empty
+   whenever an element opens or closes, since every markup item flushes
+   it first) and becomes a text node only when it is kept: the
+   whitespace-only runs between elements are dropped without ever
+   being copied out. *)
+and flush_text st el =
+  if Buffer.length st.text > 0 then begin
+    if st.keep_text || st.keep_whitespace then
+      Node.append_child el (Node.text (Buffer.contents st.text));
+    Buffer.clear st.text;
+    st.keep_text <- false
+  end
+
 and parse_content st el name =
-  let buf = Buffer.create 16 in
-  let had_entity = ref false in
-  let flush_text () =
-    if Buffer.length buf > 0 then begin
-      let s = Buffer.contents buf in
-      let keep =
-        st.keep_whitespace || !had_entity
-        || not (String.for_all is_space s)
-      in
-      if keep then Node.append_child el (Node.text s);
-      Buffer.clear buf;
-      had_entity := false
-    end
-  in
   let rec go () =
-    if at_end st then error st (Printf.sprintf "unterminated element <%s>" name)
+    if at_end st then
+      error st
+        (Printf.sprintf "unterminated element <%s>" (Xname.to_string name))
     else if looking_at st "</" then begin
-      flush_text ();
+      flush_text st el;
       skip_string st "</";
-      let close = read_name st in
-      if close <> name then
-        error st (Printf.sprintf "mismatched end tag </%s>, expected </%s>" close name);
+      (* one spelling, one interned name: the end tag matches by identity *)
+      let close = read_qname st in
+      if close != name then
+        error st
+          (Printf.sprintf "mismatched end tag </%s>, expected </%s>"
+             (Xname.to_string close) (Xname.to_string name));
       skip_ws st;
       eat st '>'
     end
     else if looking_at st "<!--" then begin
-      flush_text ();
+      flush_text st el;
       skip_string st "<!--";
       Node.append_child el (Node.comment (skip_comment st));
       go ()
     end
     else if looking_at st "<![CDATA[" then begin
       skip_string st "<![CDATA[";
-      Buffer.add_string buf (read_cdata st);
-      had_entity := true;  (* CDATA forces the text to be kept *)
+      Buffer.add_string st.text (read_cdata st);
+      st.keep_text <- true;  (* CDATA forces the text to be kept *)
       go ()
     end
     else if looking_at st "<?" then begin
-      flush_text ();
+      flush_text st el;
       skip_string st "<?";
       let target, data = read_pi st in
       Node.append_child el (Node.pi ~target ~data);
       go ()
     end
     else if peek st = '<' then begin
-      flush_text ();
+      flush_text st el;
       Node.append_child el (parse_element st);
       go ()
     end
     else if peek st = '&' then begin
       advance st;
-      Buffer.add_string buf (read_entity st);
-      had_entity := true;
+      Buffer.add_string st.text (read_entity st);
+      st.keep_text <- true;
       go ()
     end
     else begin
-      Buffer.add_char buf (peek st);
-      advance st;
+      (* a run of plain characters, up to the next markup or entity *)
+      let start = st.pos in
+      while
+        (not (at_end st))
+        &&
+        let c = peek st in
+        c <> '<' && c <> '&'
+      do
+        if not (is_space (peek st)) then st.keep_text <- true;
+        advance st
+      done;
+      Buffer.add_substring st.text st.src start (st.pos - start);
       go ()
     end
   in
@@ -328,6 +361,9 @@ let make_state ?(keep_whitespace = false) ?max_depth ?max_bytes src =
       depth = 0;
       max_depth;
       depth_src;
+      names = Xname.table ();
+      text = Buffer.create 64;
+      keep_text = false;
     }
   in
   (match (max_bytes, gov_bytes) with
@@ -350,6 +386,7 @@ let parse ?keep_whitespace ?max_depth ?max_bytes src =
   Node.append_child doc (parse_element st);
   parse_misc st doc;
   if not (at_end st) then error st "content after the root element";
+  Node.seal doc;
   doc
 
 let parse_fragment ?keep_whitespace ?max_depth ?max_bytes src =

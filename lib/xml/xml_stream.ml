@@ -88,6 +88,8 @@ type reader = {
   fill : Bytes.t -> int -> int -> int;
   mutable fault_ordinal : int;  (* cycles the injected-fault mode *)
   source_name : string;
+  mutable nbuf : Bytes.t;  (* the name being read *)
+  names : Xname.table;  (* element and attribute names of this scan *)
 }
 
 let reader_of ~source_name fill =
@@ -102,6 +104,8 @@ let reader_of ~source_name fill =
     fill;
     fault_ordinal = 0;
     source_name;
+    nbuf = Bytes.create 32;
+    names = Xname.table ();
   }
 
 let error r msg =
@@ -216,14 +220,27 @@ let is_name_start = function
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
-let read_name r =
+(* Read a name into [r.nbuf], returning its length. *)
+let scan_name r =
   if not (is_name_start (peek r)) then error r "expected a name";
-  let b = Buffer.create 16 in
+  let n = ref 0 in
   while (not (at_end r)) && is_name_char (peek r) do
-    Buffer.add_char b (peek r);
+    if !n = Bytes.length r.nbuf then r.nbuf <- Bytes.extend r.nbuf 0 !n;
+    Bytes.unsafe_set r.nbuf !n (peek r);
+    incr n;
     advance r
   done;
-  Buffer.contents b
+  !n
+
+let read_name r =
+  let n = scan_name r in
+  Bytes.sub_string r.nbuf 0 n
+
+(* An element or attribute name, interned for this scan ([intern] copies
+   what it keeps, so lending it the name buffer is safe). *)
+let read_qname r =
+  let n = scan_name r in
+  Xname.intern r.names (Bytes.unsafe_to_string r.nbuf) 0 n
 
 let read_char_ref r =
   (* after "&#" *)
@@ -384,8 +401,9 @@ let enter_element r ss =
     limit_trip r ss.depth_src
       (Printf.sprintf "element nesting deeper than %d" ss.max_depth)
 
-(* The whole-subtree cost estimate charged per capture: the same ×4
-   bytes-to-tree multiplier the document store uses. *)
+(* The whole-subtree cost estimate charged per capture: a fixed ×4
+   bytes-to-tree multiplier over the captured span, deterministic so
+   spill decisions do not depend on the heap. *)
 let subtree_estimate span = (4 * span) + 128
 
 let rec parse_element r ss mask (building : Node.t option) =
@@ -393,8 +411,7 @@ let rec parse_element r ss mask (building : Node.t option) =
   let entry_abs = r.abs in
   eat r '<';
   enter_element r ss;
-  let name = read_name r in
-  let xn = Xname.of_string name in
+  let xn = read_qname r in
   let m = child_mask ss mask xn in
   let is_match = m land ss.accept_bit <> 0 in
   let node =
@@ -415,27 +432,28 @@ let rec parse_element r ss mask (building : Node.t option) =
     match peek r with
     | '>' ->
       advance r;
-      parse_content r ss m node name
+      parse_content r ss m node xn
     | '/' ->
       advance r;
       eat r '>'
     | c when is_name_start c ->
-      let aname = read_name r in
+      let aname = read_qname r in
       skip_ws r;
       eat r '=';
       skip_ws r;
       let v = read_attr_value r in
       (match node with
-       | Some n ->
-         Node.set_attribute n (Node.attribute (Xname.of_string aname) v)
+       | Some n -> Node.set_attribute n (Node.attribute aname v)
        | None ->
-         if List.mem aname !seen_attrs then
-           Xerror.failf Xerror.XQDY0025 "duplicate attribute %s" aname;
+         if List.memq aname !seen_attrs then
+           Xerror.failf Xerror.XQDY0025 "duplicate attribute %s"
+             (Xname.to_string aname);
          seen_attrs := aname :: !seen_attrs);
       attrs ()
     | _ -> error r "malformed start tag"
   in
   attrs ();
+  Option.iter Node.seal node;
   ss.depth <- ss.depth - 1;
   match building, node with
   | Some parent, Some n -> Node.append_child parent n
@@ -477,14 +495,18 @@ and parse_content r ss mask (node : Node.t option) name =
   let add_char c = if building then Buffer.add_char buf c in
   let add_string s = if building then Buffer.add_string buf s in
   let rec go () =
-    if at_end r then error r (Printf.sprintf "unterminated element <%s>" name)
+    if at_end r then
+      error r
+        (Printf.sprintf "unterminated element <%s>" (Xname.to_string name))
     else if looking_at r "</" then begin
       flush_text ();
       skip_string r "</";
-      let close = read_name r in
-      if close <> name then
+      (* one spelling, one interned name: the end tag matches by identity *)
+      let close = read_qname r in
+      if close != name then
         error r
-          (Printf.sprintf "mismatched end tag </%s>, expected </%s>" close name);
+          (Printf.sprintf "mismatched end tag </%s>, expected </%s>"
+             (Xname.to_string close) (Xname.to_string name));
       skip_ws r;
       eat r '>'
     end

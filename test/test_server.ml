@@ -200,9 +200,8 @@ let test_doc_store_capacity_eviction () =
   let house = Governor.create () in
   let body = String.make 200 'x' in
   let xml = "<d>" ^ body ^ "</d>" in
-  let size = String.length xml in
   (* room for two resident documents, not three *)
-  let cap = 2 * Doc_store.estimate_bytes ~size + 64 in
+  let cap = 2 * Doc_store.tree_bytes (Xq_xml.Xml_parse.parse xml) + 64 in
   let t = Doc_store.create ~capacity_bytes:cap ~account:house () in
   let p1 = temp_xml xml and p2 = temp_xml xml and p3 = temp_xml xml in
   Fun.protect
@@ -225,6 +224,39 @@ let test_doc_store_capacity_eviction () =
       ignore (Doc_store.load t p2);
       let s = Doc_store.stats t in
       Alcotest.(check int) "victim reloaded as a miss" 4 s.Doc_store.d_misses)
+
+(* The admission gauge charges what the trees really hold: the resident
+   bytes of the seeded workload documents match the live heap they add,
+   within 20%. *)
+let test_doc_store_resident_bytes_measured () =
+  let serialize = Xq_xml.Serialize.node in
+  let docs =
+    [
+      serialize
+        (Xq_workload.Orders.generate
+           Xq_workload.Orders.(with_lineitems 2000 { default with seed = 42 }));
+      serialize
+        (Xq_workload.Sales.generate { Xq_workload.Sales.default with seed = 42 });
+      serialize
+        (Xq_workload.Bibliography.generate
+           { Xq_workload.Bibliography.default with seed = 42 });
+    ]
+  in
+  let paths = List.map temp_xml docs in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove paths)
+    (fun () ->
+      let t = Doc_store.create () in
+      Gc.compact ();
+      let w0 = (Gc.stat ()).Gc.live_words in
+      List.iter (fun p -> ignore (Doc_store.load t p)) paths;
+      Gc.compact ();
+      let live = ((Gc.stat ()).Gc.live_words - w0) * (Sys.word_size / 8) in
+      let resident = (Doc_store.stats t).Doc_store.d_resident_bytes in
+      let ratio = float resident /. float live in
+      if ratio < 0.8 || ratio > 1.2 then
+        Alcotest.failf "resident_bytes %d vs %d live bytes (ratio %.2f)"
+          resident live ratio)
 
 (* --- admission control -------------------------------------------------- *)
 
@@ -262,6 +294,33 @@ let test_admission_watermark () =
   let stats = Server.stats_text t in
   Alcotest.(check bool) "reject counted" true
     (List.mem "admission_rejects 1" (String.split_on_char '\n' stats))
+
+(* A request's PARALLEL header scopes to that request: neither it nor a
+   later header-less request leaves the process default changed. *)
+let test_parallel_header_restored () =
+  let module Par = Xq_par.Par in
+  let before = Par.default_degree () in
+  let degree = if before = 4 then 2 else 4 in
+  let t = Server.create () in
+  let run knobs =
+    match
+      Server.handle t
+        (Protocol.Run
+           {
+             Protocol.rq_source = "count((1, 2, 3))";
+             rq_doc = Protocol.Doc_none;
+             rq_knobs = knobs;
+             rq_indent = false;
+           })
+    with
+    | Protocol.Payload p -> Alcotest.(check string) "result" "3\n" p
+    | Protocol.Error { message; _ } -> Alcotest.failf "rejected: %s" message
+  in
+  run { Pipeline.default_knobs with Pipeline.k_parallel = Some degree };
+  Alcotest.(check int) "restored after PARALLEL" before (Par.default_degree ());
+  run Pipeline.default_knobs;
+  Alcotest.(check int) "header-less request keeps it" before
+    (Par.default_degree ())
 
 (* --- live-socket helpers ------------------------------------------------ *)
 
@@ -628,6 +687,8 @@ let suites =
           test_doc_store_rename_swap;
         Alcotest.test_case "capacity eviction" `Quick
           test_doc_store_capacity_eviction;
+        Alcotest.test_case "resident bytes match the live heap" `Quick
+          test_doc_store_resident_bytes_measured;
       ] );
     ( "server-streaming",
       [
@@ -640,6 +701,8 @@ let suites =
       [
         Alcotest.test_case "hot watermark rejects XQENG0007, drains back"
           `Quick test_admission_watermark;
+        Alcotest.test_case "PARALLEL header does not outlive its request"
+          `Quick test_parallel_header_restored;
       ] );
     ( "server-protocol",
       [ Alcotest.test_case "command round trip" `Quick test_protocol_roundtrip ]

@@ -26,6 +26,17 @@ let xname_tests =
         check_bool "eq" true (Xname.equal (Xname.of_string "a:x") (Xname.of_string "a:x"));
         check_bool "ne" false (Xname.equal (Xname.of_string "a:x") (Xname.of_string "b:x"));
         check_bool "ne2" false (Xname.equal (Xname.of_string "x") (Xname.of_string "b:x")));
+    test "intern shares one name per spelling" (fun () ->
+        let tbl = Xname.table () in
+        let src = "a:x b a:x" in
+        let first = Xname.intern tbl src 0 3 and again = Xname.intern tbl src 6 3 in
+        check_bool "same spelling, same name" true (first == again);
+        check_string "split as of_string" "a" (Option.get first.Xname.prefix);
+        check_bool "other spelling differs" false
+          (Xname.equal first (Xname.intern tbl src 4 1));
+        check_bool "a fresh table, equal but not shared" true
+          (let other = Xname.intern (Xname.table ()) src 0 3 in
+           other != first && Xname.equal other first));
     test "is_default_fn" (fun () ->
         check_bool "bare" true (Xname.is_default_fn (Xname.of_string "count"));
         check_bool "fn" true (Xname.is_default_fn (Xname.of_string "fn:count"));
@@ -243,6 +254,69 @@ let node_tests =
         | _ -> Alcotest.fail "expected Untyped t1");
   ]
 
+(* --- node layout: seal on close ------------------------------------------ *)
+
+let names ns = List.map Node.local_name ns
+
+(* Element names, depth-first, with each element's children read twice:
+   both reads must return the one stored list. *)
+let rec sealed_names n =
+  let kids = Node.children n in
+  if kids != Node.children n then Alcotest.fail "children read is not the stored list";
+  List.concat_map
+    (fun c -> if Node.is_element c then Node.local_name c :: sealed_names c else [])
+    kids
+
+let layout_tests =
+  [
+    test "unsealed nodes read in document order" (fun () ->
+        let _, root, _, y, _ = make_tree () in
+        Alcotest.(check (list string)) "root" [ "x"; "y" ] (names (Node.children root));
+        Alcotest.(check (list string)) "y" [ "z"; "" ] (names (Node.children y)));
+    test "seal keeps order and makes reads allocation-free" (fun () ->
+        let d, root, x, y, z = make_tree () in
+        List.iter Node.seal [ d; root; x; y; z ];
+        Alcotest.(check (list string)) "order" [ "root"; "x"; "y"; "z" ] (sealed_names d);
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Node.children root));
+          ignore (Sys.opaque_identity (Node.attributes root))
+        done;
+        check_bool "no allocation" true (Gc.minor_words () -. w0 < 64.));
+    test "appending to a sealed node reopens it" (fun () ->
+        let el = Node.element (Xname.of_string "e") in
+        let add n = Node.append_child el (Node.element (Xname.of_string n)) in
+        add "a";
+        add "b";
+        Node.seal el;
+        add "c";
+        Node.set_attribute el (Node.attribute (Xname.of_string "k") "v");
+        Alcotest.(check (list string)) "open" [ "a"; "b"; "c" ] (names (Node.children el));
+        Node.seal el;
+        add "d";
+        Node.seal el;
+        Alcotest.(check (list string)) "resealed" [ "a"; "b"; "c"; "d" ] (sealed_names el);
+        Alcotest.(check (list string)) "attribute" [ "k" ] (names (Node.attributes el)));
+    test "parent of a root is None" (fun () ->
+        let d, root, _, _, _ = make_tree () in
+        check_bool "document" true (Node.parent d = None);
+        check_bool "detached" true (Node.parent (Node.element (Xname.of_string "e")) = None);
+        check_bool "root element" true (Node.same (Option.get (Node.parent root)) d));
+    test "binio round trip yields sealed children in document order" (fun () ->
+        let _, root, _, _, _ = make_tree () in
+        let detached = Node.copy root in
+        let reg = Binio.registry ~detach:true () in
+        let buf = Buffer.create 64 in
+        Binio.put_item reg buf (Item.Node detached);
+        match Binio.get_item reg (Binio.reader (Buffer.contents buf)) with
+        | Item.Node n ->
+          check_bool "a new tree" true (n != detached);
+          check_bool "same ids" true (Node.same n detached);
+          Alcotest.(check (list string)) "order" [ "x"; "y"; "z" ] (sealed_names n);
+          check_bool "deep-equal" true (Deep_equal.nodes n root)
+        | Item.Atomic _ -> Alcotest.fail "expected a node");
+  ]
+
 (* --- Xseq ---------------------------------------------------------------- *)
 
 let seq_tests =
@@ -317,6 +391,7 @@ let suites =
     ("xdm.atomic", atomic_tests);
     ("xdm.datetime", datetime_tests);
     ("xdm.node", node_tests);
+    ("xdm.layout", layout_tests);
     ("xdm.xseq", seq_tests);
     ("xdm.deep-equal", deep_equal_tests);
   ]

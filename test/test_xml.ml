@@ -251,6 +251,109 @@ let builder_tests =
         check_bool "deep-equal" true (Deep_equal.nodes n reparsed));
   ]
 
+(* --- tree layout: sealed nodes, interned names ---------------------------- *)
+
+(* Every element and document below [n], each read twice: a sealed
+   node's two reads return the one stored list. *)
+let rec all_sealed n =
+  let kids = Node.children n in
+  kids == Node.children n
+  && Node.attributes n == Node.attributes n
+  && List.for_all all_sealed kids
+
+let element_names n =
+  List.filter_map
+    (fun c -> if Node.is_element c then Some (Node.local_name c) else None)
+    (Node.children n)
+
+let elements_named n local =
+  List.filter
+    (fun d -> Node.is_element d && Node.local_name d = local)
+    (Node.descendants n)
+
+(* Every node of a tree, attributes included. *)
+let rec node_count n =
+  List.fold_left
+    (fun acc c -> acc + node_count c)
+    (1 + List.length (Node.attributes n))
+    (Node.children n)
+
+let orders_xml () =
+  let p = Xq_workload.Orders.(with_lineitems 2000 { default with seed = 42 }) in
+  serialize (Xq_workload.Orders.generate p)
+
+let layout_tests =
+  [
+    test "parsed nodes are sealed: reads return the stored list" (fun () ->
+        let d = parse "<a k='1'><b>x</b><!--c--><b><c/>y</b><?p d?></a>" in
+        check_bool "sealed" true (all_sealed d);
+        let a = List.hd (Node.children d) in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Node.children a))
+        done;
+        check_bool "no allocation" true (Gc.minor_words () -. w0 < 64.));
+    test "one parse shares one name per spelling" (fun () ->
+        let d = parse "<a><p:b x='1'/><p:b x='2'/><c><p:b/></c></a>" in
+        match elements_named d "b" with
+        | [ b1; b2; b3 ] ->
+          let name n = Option.get (Node.name n) in
+          check_bool "siblings" true (name b1 == name b2);
+          check_bool "nested" true (name b1 == name b3);
+          check_bool "attributes" true
+            (name (List.hd (Node.attributes b1)) == name (List.hd (Node.attributes b2)))
+        | _ -> Alcotest.fail "expected three b elements");
+    test "streamed subtrees are sealed and share names" (fun () ->
+        let path = [ { Xq_xml.Xml_stream.desc = true; test = Xq_xml.Xml_stream.Any } ] in
+        match
+          Xq_xml.Xml_stream.collect ~path (`String "<a><b><c/><c/></b><b/></a>")
+        with
+        | a :: _ ->
+          check_bool "sealed" true (all_sealed a);
+          (match elements_named a "b" with
+           | [ b1; b2 ] ->
+             check_bool "shared" true
+               (Option.get (Node.name b1) == Option.get (Node.name b2))
+           | _ -> Alcotest.fail "expected two b elements");
+          Alcotest.(check (list string)) "order" [ "b"; "b" ] (element_names a)
+        | [] -> Alcotest.fail "expected matches");
+    test "constructed elements are sealed in document order" (fun () ->
+        match
+          run_seq ~data:"<r><x/><y/></r>"
+            "<out a='1'>{1}<p/>t{ /r/* }<q>{2, 3}</q>{ element e { 'z' } }</out>"
+        with
+        | [ Item.Node out ] ->
+          check_bool "sealed" true (all_sealed out);
+          Alcotest.(check (list string)) "children" [ "p"; "x"; "y"; "q"; "e" ]
+            (element_names out);
+          check_string "xml" {|<out a="1">1<p/>t<x/><y/><q>2 3</q><e>z</e></out>|}
+            (serialize out)
+        | _ -> Alcotest.fail "expected one element");
+    test "builder trees are sealed in document order" (fun () ->
+        let open Xq_xml.Builder in
+        let d = doc (el "r" [ el "a" []; attr "k" "v"; el "b" [ el "c" [] ]; el "a" [] ]) in
+        check_bool "sealed" true (all_sealed d);
+        let r = List.hd (Node.children d) in
+        Alcotest.(check (list string)) "order" [ "a"; "b"; "a" ] (element_names r);
+        match elements_named d "a" with
+        | [ a1; a2 ] ->
+          check_bool "names shared" true (Option.get (Node.name a1) == Option.get (Node.name a2))
+        | _ -> Alcotest.fail "expected two a elements");
+    (* A heap guard on the node layout: one block per node, no option
+       box for the parent, names shared. The per-node-record layout it
+       replaced measured about 130 B per node here. *)
+    test "a parsed orders tree costs at most 100 live bytes per node" (fun () ->
+        let xml = orders_xml () in
+        Gc.compact ();
+        let w0 = (Gc.stat ()).Gc.live_words in
+        let d = parse xml in
+        Gc.compact ();
+        let w1 = (Gc.stat ()).Gc.live_words in
+        let per_node = float ((w1 - w0) * (Sys.word_size / 8)) /. float (node_count d) in
+        if per_node > 100. then Alcotest.failf "%.1f live bytes per node" per_node;
+        ignore (Sys.opaque_identity xml));
+  ]
+
 (* --- hostile streams ------------------------------------------------------ *)
 
 (* The streaming scan must reject exactly what the materializing parser
@@ -316,4 +419,5 @@ let suites =
     ("xml.hostile-stream", hostile_stream_tests);
     ("xml.serializer", serializer_tests);
     ("xml.builder", builder_tests);
+    ("xml.layout", layout_tests);
   ]

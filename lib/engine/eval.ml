@@ -153,6 +153,16 @@ let fused_walk steps root out =
       | SChild _ -> child_sources := !child_sources lor (1 lsl j))
     steps;
   let dos_targets = !dos_targets and child_sources = !child_sources in
+  (* A text node is only ever a result, never a source, and only the
+     last step can select it; otherwise a leaf's text child, which a
+     [children] read would build, is skipped. *)
+  let texts_selectable =
+    k > 0
+    &&
+    match steps.(k - 1) with
+    | SDos | SChild (Ast.Kind_node | Ast.Kind_text) -> true
+    | SChild _ -> false
+  in
   (* cascading [//] bits only ever move upward, so one ascending pass
      reaches the fixpoint *)
   let closure m0 =
@@ -170,7 +180,10 @@ let fused_walk steps root out =
     incr visited;
     let m = closure m0 in
     if m land accept_bit <> 0 then out := n :: !out;
-    if m land (dos_targets lor child_sources) <> 0 then
+    if
+      m land (dos_targets lor child_sources) <> 0
+      && (texts_selectable || not (Node.is_leaf n))
+    then
       List.iter
         (fun c ->
           let cm = ref (m land dos_targets) in

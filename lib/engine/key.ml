@@ -170,11 +170,22 @@ let fingerprint n0 =
              Node.attribute_value a ))
          (Node.attributes n))
   in
+  let text t =
+    add_field fb 'T' t;
+    Buffer.add_string sb t
+  in
   let rec go n =
     match Node.kind n with
     | Node.Document ->
       Buffer.add_char fb 'D';
       children n
+    | Node.Element when Node.is_leaf n ->
+      (* the full form's fields, its text read in place *)
+      Buffer.add_char fb 'E';
+      (match Node.name n with Some nm -> add_name fb nm | None -> ());
+      Buffer.add_char fb '(';
+      text (Node.string_value n);
+      Buffer.add_char fb ')'
     | Node.Element ->
       Buffer.add_char fb 'E';
       (match Node.name n with Some nm -> add_name fb nm | None -> ());
@@ -184,10 +195,7 @@ let fingerprint n0 =
           add_field fb 'v' v)
         (attr_entries n);
       children n
-    | Node.Text ->
-      let t = Node.text_content n in
-      add_field fb 'T' t;
-      Buffer.add_string sb t
+    | Node.Text -> text (Node.text_content n)
     | Node.Comment -> add_field fb 'C' (Node.comment_text n)
     | Node.Pi ->
       add_field fb 'P' (Node.pi_target n);

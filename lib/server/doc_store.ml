@@ -38,10 +38,10 @@ let create ?(capacity_bytes = 256 * 1024 * 1024) ?account () =
     resident = 0;
   }
 
-(* Every heap word reachable from the document node, headers included:
-   the tree, its strings and its interned names, and nothing else (a
-   parsed tree points only into itself). One walk per load. *)
-let tree_bytes node = Obj.reachable_words (Obj.repr node) * (Sys.word_size / 8)
+(* Every heap word of the tree, headers included: its nodes, strings and
+   interned names (a parsed tree points only into itself). One walk per
+   load, with no table of visited blocks. *)
+let tree_bytes node = Xq_xdm.Node.heap_words node * (Sys.word_size / 8)
 
 let charge t n =
   t.resident <- t.resident + n;

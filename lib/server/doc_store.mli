@@ -21,9 +21,9 @@ type t
 val create :
   ?capacity_bytes:int -> ?account:Xq_governor.Governor.t -> unit -> t
 
-(** The heap bytes of a parsed tree, as {!load} charges them: every word
-    reachable from the node, headers included — exposed so tests can
-    predict eviction. *)
+(** The heap bytes of a parsed tree, as {!load} charges them:
+    {!Xq_xdm.Node.heap_words} in bytes, headers included — exposed so
+    tests can predict eviction. *)
 val tree_bytes : Xq_xdm.Node.t -> int
 
 (** [load t path] returns the resident document for [path], parsing it

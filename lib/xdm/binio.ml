@@ -255,7 +255,7 @@ let rec get_tree r =
       Node.append_child el (get_tree r)
     done;
     Node.seal el;
-    el
+    Node.as_leaf el
   | c when c = Char.code 'T' -> Node.text_with_id ~id (get_string r)
   | c when c = Char.code 'C' -> Node.comment_with_id ~id (get_string r)
   | c when c = Char.code 'P' ->

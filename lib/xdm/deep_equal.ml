@@ -10,6 +10,8 @@ let significant_children n =
 let rec nodes a b =
   match Node.kind a, Node.kind b with
   | Node.Document, Node.Document -> children_equal a b
+  | Node.Element, Node.Element when Node.is_leaf a && Node.is_leaf b ->
+    name_equal a b && Node.string_value a = Node.string_value b
   | Node.Element, Node.Element ->
     name_equal a b && attrs_equal a b && children_equal a b
   | Node.Attribute, Node.Attribute ->
@@ -53,6 +55,10 @@ let sequences a b =
 let rec hash_node n =
   match Node.kind n with
   | Node.Document -> Hashtbl.hash (`Doc (List.map hash_node (significant_children n)))
+  | Node.Element when Node.is_leaf n ->
+    (* the full form's hash: no attributes, one text child *)
+    Hashtbl.hash
+      (`El (Node.local_name n, [], [ Hashtbl.hash (`Tx (Node.string_value n)) ]))
   | Node.Element ->
     let attrs =
       List.sort compare

@@ -11,7 +11,14 @@ type kind = Document | Element | Attribute | Text | Comment | Pi
    between domains are never mutated by a read. An unsealed node still
    reads correctly, reversing a copy. Appending to a sealed node reopens
    it. A fresh node starts sealed: its lists are empty, so childless
-   nodes never need a [seal] call. *)
+   nodes never need a [seal] call.
+
+   A leaf is the one-block form of a finished element that has no
+   attributes and exactly one child, a text node numbered [id + 1]: the
+   element block, its cons cell and the text block collapse into
+   [NLeaf]. Its [children] read rebuilds that text node afresh, with the
+   same id, the leaf as parent and the stored string, so identity and
+   document order are those of the full form. A leaf is final. *)
 type t =
   | NDocument of { id : int; mutable kids : t list; mutable sealed : bool }
   | NElement of {
@@ -22,6 +29,7 @@ type t =
       mutable kids : t list;
       mutable sealed : bool;
     }
+  | NLeaf of { id : int; mutable parent : t; name : Xname.t; text : string }
   | NAttribute of { id : int; mutable parent : t; name : Xname.t; value : string }
   | NText of { id : int; mutable parent : t; text : string }
   | NComment of { id : int; mutable parent : t; text : string }
@@ -61,7 +69,7 @@ let pi ~target ~data = pi_with_id ~id:(fresh_id ()) ~target ~data
 
 let kind = function
   | NDocument _ -> Document
-  | NElement _ -> Element
+  | NElement _ | NLeaf _ -> Element
   | NAttribute _ -> Attribute
   | NText _ -> Text
   | NComment _ -> Comment
@@ -70,6 +78,7 @@ let kind = function
 let id = function
   | NDocument { id; _ }
   | NElement { id; _ }
+  | NLeaf { id; _ }
   | NAttribute { id; _ }
   | NText { id; _ }
   | NComment { id; _ }
@@ -78,6 +87,7 @@ let id = function
 let parent_raw = function
   | NDocument _ -> orphan
   | NElement { parent; _ }
+  | NLeaf { parent; _ }
   | NAttribute { parent; _ }
   | NText { parent; _ }
   | NComment { parent; _ }
@@ -90,6 +100,7 @@ let parent n =
 let set_parent c p =
   match c with
   | NElement r -> r.parent <- p
+  | NLeaf r -> r.parent <- p
   | NAttribute r -> r.parent <- p
   | NText r -> r.parent <- p
   | NComment r -> r.parent <- p
@@ -110,15 +121,31 @@ let orient n ~sealed =
     e.kids <- rev e.kids;
     e.attrs <- rev e.attrs;
     e.sealed <- sealed
-  | NDocument _ | NElement _ | NAttribute _ | NText _ | NComment _ | NPi _ -> ()
+  | NDocument _ | NElement _ | NLeaf _ | NAttribute _ | NText _ | NComment _
+  | NPi _ ->
+    ()
 
 let seal n = orient n ~sealed:true
+
+(* Only a detached element qualifies, so no parent's child list ever
+   holds the full form a leaf replaced. *)
+let as_leaf n =
+  match n with
+  | NElement
+      { id; parent; name; attrs = []; kids = [ NText { id = tid; text; _ } ]; _ }
+    when tid = id + 1 && parent == orphan ->
+    NLeaf { id; parent; name; text }
+  | NDocument _ | NElement _ | NLeaf _ | NAttribute _ | NText _ | NComment _
+  | NPi _ ->
+    n
+
+let is_leaf = function NLeaf _ -> true | _ -> false
 
 let append_child p c =
   (match c with
    | NAttribute _ -> invalid_arg "Node.append_child: attribute child"
    | NDocument _ -> invalid_arg "Node.append_child: document child"
-   | NElement _ | NText _ | NComment _ | NPi _ -> ());
+   | NElement _ | NLeaf _ | NText _ | NComment _ | NPi _ -> ());
   orient p ~sealed:false;
   match p with
   | NDocument d ->
@@ -127,6 +154,7 @@ let append_child p c =
   | NElement e ->
     set_parent c p;
     e.kids <- c :: e.kids
+  | NLeaf _ -> invalid_arg "Node.append_child: a leaf element is final"
   | NAttribute _ | NText _ | NComment _ | NPi _ ->
     invalid_arg "Node.append_child: receiver cannot have children"
 
@@ -143,27 +171,31 @@ let set_attribute p a =
     set_parent a p;
     e.attrs <- a :: e.attrs
   | NElement _, _ -> invalid_arg "Node.set_attribute: not an attribute"
+  | NLeaf _, _ -> invalid_arg "Node.set_attribute: a leaf element is final"
   | _, _ -> invalid_arg "Node.set_attribute: receiver not an element"
 
 let children = function
   | NDocument { kids; sealed; _ } | NElement { kids; sealed; _ } ->
     if sealed then kids else List.rev kids
+  | NLeaf { id; text; _ } as n -> [ NText { id = id + 1; parent = n; text } ]
   | NAttribute _ | NText _ | NComment _ | NPi _ -> []
 
 let attributes = function
   | NElement { attrs; sealed; _ } -> if sealed then attrs else List.rev attrs
-  | NDocument _ | NAttribute _ | NText _ | NComment _ | NPi _ -> []
+  | NDocument _ | NLeaf _ | NAttribute _ | NText _ | NComment _ | NPi _ -> []
 
 let name = function
-  | NElement { name; _ } | NAttribute { name; _ } -> Some name
+  | NElement { name; _ } | NLeaf { name; _ } | NAttribute { name; _ } ->
+    Some name
   | NDocument _ | NText _ | NComment _ | NPi _ -> None
 
 let local_name = function
-  | NElement { name; _ } | NAttribute { name; _ } -> name.Xname.local
+  | NElement { name; _ } | NLeaf { name; _ } | NAttribute { name; _ } ->
+    name.Xname.local
   | NPi { target; _ } -> target
   | NDocument _ | NText _ | NComment _ -> ""
 
-let is_element = function NElement _ -> true | _ -> false
+let is_element = function NElement _ | NLeaf _ -> true | _ -> false
 let is_attribute = function NAttribute _ -> true | _ -> false
 let is_text = function NText _ -> true | _ -> false
 
@@ -190,6 +222,7 @@ let pi_data = function
 let string_value n =
   match n with
   | NAttribute { value = s; _ }
+  | NLeaf { text = s; _ }
   | NText { text = s; _ }
   | NComment { text = s; _ }
   | NPi { data = s; _ } -> s
@@ -199,6 +232,7 @@ let string_value n =
       match n with
       | NText { text; _ } -> Buffer.add_string buf text
       | NElement _ | NDocument _ -> List.iter go (children n)
+      | NLeaf { text; _ } -> Buffer.add_string buf text
       | NAttribute _ | NComment _ | NPi _ -> ()
     in
     go n;
@@ -208,7 +242,7 @@ let typed_value n =
   match n with
   | NComment { text; _ } -> Atomic.Str text
   | NPi { data; _ } -> Atomic.Str data
-  | NDocument _ | NElement _ | NAttribute _ | NText _ ->
+  | NDocument _ | NElement _ | NLeaf _ | NAttribute _ | NText _ ->
     Atomic.Untyped (string_value n)
 
 let copy n =
@@ -219,12 +253,12 @@ let copy n =
       List.iter (fun c -> append_child d (go c)) (children n);
       seal d;
       d
-    | NElement { name; _ } ->
+    | NElement { name; _ } | NLeaf { name; _ } ->
       let el = element name in
       List.iter (fun a -> set_attribute el (go a)) (attributes n);
       List.iter (fun c -> append_child el (go c)) (children n);
       seal el;
-      el
+      as_leaf el
     | NAttribute { name; value; _ } -> attribute name value
     | NText { text = s; _ } -> text s
     | NComment { text; _ } -> comment text
@@ -251,6 +285,7 @@ let ancestors n =
   in
   go [] n
 
+(* Siblings match by id: a leaf's text child is rebuilt on every read. *)
 let siblings_of n =
   let p = parent_raw n in
   if p == orphan || is_attribute n then [] else children p
@@ -258,14 +293,14 @@ let siblings_of n =
 let following_siblings n =
   let rec after = function
     | [] -> []
-    | c :: rest -> if c == n then rest else after rest
+    | c :: rest -> if id c = id n then rest else after rest
   in
   after (siblings_of n)
 
 let preceding_siblings n =
   let rec before acc = function
     | [] -> []
-    | c :: rest -> if c == n then acc else before (c :: acc) rest
+    | c :: rest -> if id c = id n then acc else before (c :: acc) rest
   in
   before [] (siblings_of n)
 
@@ -290,3 +325,35 @@ let sort_in_doc_order nodes =
     in
     dedup sorted
   end
+
+(* A string block: header plus the bytes padded to a whole word, with
+   at least one padding byte. *)
+let string_words s = 2 + (String.length s / (Sys.word_size / 8))
+
+let heap_words n =
+  let names = Hashtbl.create 16 in
+  let name_words (nm : Xname.t) =
+    let seen = Option.value (Hashtbl.find_opt names nm) ~default:[] in
+    if List.memq nm seen then 0
+    else begin
+      Hashtbl.replace names nm (nm :: seen);
+      3 + string_words nm.local
+      + match nm.prefix with Some p -> 2 + string_words p | None -> 0
+    end
+  in
+  (* a node block with [fields] fields, plus a cons cell per list item *)
+  let block fields = 1 + fields in
+  let rec go n =
+    match n with
+    | NDocument { kids; _ } -> block 3 + List.fold_left cell 0 kids
+    | NElement { name; attrs; kids; _ } ->
+      block 6 + name_words name
+      + List.fold_left cell (List.fold_left cell 0 attrs) kids
+    | NLeaf { name; text; _ } -> block 4 + name_words name + string_words text
+    | NAttribute { name; value; _ } ->
+      block 4 + name_words name + string_words value
+    | NText { text; _ } | NComment { text; _ } -> block 3 + string_words text
+    | NPi { target; data; _ } ->
+      block 4 + string_words target + string_words data
+  and cell acc c = acc + 3 + go c in
+  go n

@@ -9,8 +9,10 @@
 
     The representation is abstract: one heap block per node, with child
     and attribute lists built reversed for O(1) append and put in
-    document order once by {!seal}. Inspect nodes through {!kind} and
-    the accessors. *)
+    document order once by {!seal}. A finished element with no
+    attributes and a single text child may be stored as a one-block
+    {e leaf} (see {!as_leaf}); readers see an ordinary element. Inspect
+    nodes through {!kind} and the accessors. *)
 
 type t
 
@@ -46,8 +48,25 @@ val set_attribute : t -> t -> unit
     sealed and childless kinds. *)
 val seal : t -> unit
 
+(** [as_leaf n] is the one-block leaf form of a detached element [n]
+    that has no attributes and whose only child is a text node with id
+    [id n + 1]; any other node is returned as it is. A leaf reads as
+    that element: {!kind} is [Element], {!string_value} returns the
+    stored string without copying, and {!children} returns a fresh
+    one-item list whose text node has id [id n + 1], the leaf as parent
+    and the same string, so {!same} and document order are unchanged.
+    Reads never write to a leaf. A leaf is final: {!append_child} and
+    {!set_attribute} on it raise [Invalid_argument]. Parsers, the spill
+    codec and {!copy} call this on each element they finish; use [n]'s
+    result in place of [n]. *)
+val as_leaf : t -> t
+
+(** Whether [n] is stored as a leaf, so hot paths can read its text with
+    {!string_value} instead of building its child list. *)
+val is_leaf : t -> bool
+
 (** Deep copy with fresh ids assigned in preorder (used by element
-    constructors). *)
+    constructors); copied elements that qualify become leaves. *)
 val copy : t -> t
 
 (** {1 Explicit-id construction (spill codec only)}
@@ -131,6 +150,12 @@ val same : t -> t -> bool
 (** Sort into document order and drop duplicate identities (the implicit
     semantics of path-expression results). *)
 val sort_in_doc_order : t list -> t list
+
+(** Heap words held by the tree at [n], headers included: its node
+    blocks, list cells and strings, and each distinct name record once.
+    For a document this is what [Obj.reachable_words] reports, found by a
+    plain walk with no visited-block table. *)
+val heap_words : t -> int
 
 (** Reset the global id counter — test-only helper for reproducibility. *)
 val reset_ids_for_testing : unit -> unit

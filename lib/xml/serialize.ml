@@ -28,6 +28,16 @@ let node ?(indent = false) n =
   let rec go depth n =
     match Node.kind n with
     | Node.Document -> List.iter (fun c -> go depth c; nl ()) (Node.children n)
+    | Node.Element when Node.is_leaf n ->
+      let name = Xname.to_string (Option.get (Node.name n)) in
+      pad depth;
+      Buffer.add_char buf '<';
+      Buffer.add_string buf name;
+      Buffer.add_char buf '>';
+      escape buf ~attr:false (Node.string_value n);
+      Buffer.add_string buf "</";
+      Buffer.add_string buf name;
+      Buffer.add_char buf '>'
     | Node.Element ->
       let name =
         match Node.name n with

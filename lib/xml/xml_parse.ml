@@ -235,7 +235,7 @@ let rec parse_element st =
   attrs ();
   Node.seal el;
   st.depth <- st.depth - 1;
-  el
+  Node.as_leaf el
 
 (* Character data accumulates in the parse's one [text] buffer (empty
    whenever an element opens or closes, since every markup item flushes

@@ -454,6 +454,8 @@ let rec parse_element r ss mask (building : Node.t option) =
   in
   attrs ();
   Option.iter Node.seal node;
+  (* a queued match root is already referenced from [ss.pending] *)
+  let node = if is_match then node else Option.map Node.as_leaf node in
   ss.depth <- ss.depth - 1;
   match building, node with
   | Some parent, Some n -> Node.append_child parent n

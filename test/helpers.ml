@@ -35,6 +35,20 @@ let expect_error code ~data query name =
 
 let test name f = Alcotest.test_case name `Quick f
 
+(* The read contract of a leaf element: no attributes, and [children]
+   builds one text node with the next id, the leaf as parent and the
+   leaf's string. *)
+let leaf_read_ok n =
+  Node.attributes n = []
+  &&
+  match Node.children n with
+  | [ t ] ->
+    Node.is_text t
+    && Node.id t = Node.id n + 1
+    && (match Node.parent t with Some p -> p == n | None -> false)
+    && Node.text_content t = Node.string_value n
+  | _ -> false
+
 (* The Section 2 bibliography, reused across many suites. *)
 let bib =
   {|<bib>

@@ -254,12 +254,15 @@ let builder_tests =
 (* --- tree layout: sealed nodes, interned names ---------------------------- *)
 
 (* Every element and document below [n], each read twice: a sealed
-   node's two reads return the one stored list. *)
+   node's two reads return the one stored list. A leaf's read builds its
+   one text child afresh instead (see [Helpers.leaf_read_ok]). *)
 let rec all_sealed n =
-  let kids = Node.children n in
-  kids == Node.children n
-  && Node.attributes n == Node.attributes n
-  && List.for_all all_sealed kids
+  if Node.is_leaf n then leaf_read_ok n
+  else
+    let kids = Node.children n in
+    kids == Node.children n
+    && Node.attributes n == Node.attributes n
+    && List.for_all all_sealed kids
 
 let element_names n =
   List.filter_map
@@ -340,9 +343,10 @@ let layout_tests =
           check_bool "names shared" true (Option.get (Node.name a1) == Option.get (Node.name a2))
         | _ -> Alcotest.fail "expected two a elements");
     (* A heap guard on the node layout: one block per node, no option
-       box for the parent, names shared. The per-node-record layout it
-       replaced measured about 130 B per node here. *)
-    test "a parsed orders tree costs at most 100 live bytes per node" (fun () ->
+       box for the parent, names shared, text-only elements as leaves.
+       The per-node-record layout measured about 130 B per node here,
+       one block per node without leaves about 79 B. *)
+    test "a parsed orders tree costs at most 55 live bytes per node" (fun () ->
         let xml = orders_xml () in
         Gc.compact ();
         let w0 = (Gc.stat ()).Gc.live_words in
@@ -350,8 +354,188 @@ let layout_tests =
         Gc.compact ();
         let w1 = (Gc.stat ()).Gc.live_words in
         let per_node = float ((w1 - w0) * (Sys.word_size / 8)) /. float (node_count d) in
-        if per_node > 100. then Alcotest.failf "%.1f live bytes per node" per_node;
+        if per_node > 55. then Alcotest.failf "%.1f live bytes per node" per_node;
         ignore (Sys.opaque_identity xml));
+  ]
+
+(* --- leaf elements --------------------------------------------------------- *)
+
+let is_leaf_root src = Node.is_leaf (parse_fragment src)
+
+(* Every element below [n] (and [n]) in preorder. *)
+let elements n = List.filter Node.is_element (Node.descendant_or_self n)
+
+let leaf_count n = List.length (List.filter Node.is_leaf (elements n))
+
+(* Ids of every node and attribute in preorder, leaf flags of every
+   element: what a by-value round trip must keep. *)
+let shape n =
+  ( List.concat_map
+      (fun d -> Node.id d :: List.map Node.id (Node.attributes d))
+      (Node.descendant_or_self n),
+    List.map Node.is_leaf (elements n) )
+
+let seeded_docs () =
+  let open Xq_workload in
+  [
+    ("orders", Orders.generate (Orders.with_lineitems 400 { Orders.default with seed = 42 }));
+    ("sales", Sales.generate { Sales.default with sales = 300; seed = 42 });
+    ("bibliography", Bibliography.generate { Bibliography.default with seed = 42 });
+    ("auction", Auction.generate { Auction.default with seed = 42 });
+  ]
+
+let leaf_tests =
+  [
+    test "a text-only element without attributes becomes a leaf" (fun () ->
+        check_bool "text" true (is_leaf_root "<a>x</a>");
+        check_bool "entity" true (is_leaf_root "<a>&amp;</a>");
+        check_bool "CDATA" true (is_leaf_root "<a><![CDATA[<x>]]></a>");
+        check_bool "text and CDATA are one text node" true
+          (is_leaf_root "<a>x<![CDATA[y]]>z</a>");
+        check_bool "kept whitespace" true
+          (Node.is_leaf (parse_fragment ~keep_whitespace:true "<a> </a>"));
+        let a = parse_fragment "<a>x<![CDATA[<y>]]></a>" in
+        check_bool "contract" true (leaf_read_ok a);
+        check_string "string" "x<y>" (Node.string_value a);
+        check_string "xml" "<a>x&lt;y&gt;</a>" (serialize a));
+    test "other elements keep their full form" (fun () ->
+        check_bool "attribute" false (is_leaf_root "<a k='1'>x</a>");
+        check_bool "mixed content" false (is_leaf_root "<a>x<b/>y</a>");
+        check_bool "element child" false (is_leaf_root "<a><b/></a>");
+        check_bool "comment child" false (is_leaf_root "<a><!--c-->x</a>");
+        check_bool "PI child" false (is_leaf_root "<a>x<?p d?></a>");
+        check_bool "empty" false (is_leaf_root "<a/>");
+        check_bool "empty pair" false (is_leaf_root "<a></a>");
+        check_bool "dropped whitespace" false (is_leaf_root "<a> </a>"));
+    test "a leaf reads as its full form" (fun () ->
+        let d = parse "<r><a>x</a><b>y</b></r>" in
+        let r = List.hd (Node.children d) in
+        match Node.children r with
+        | [ a; b ] ->
+          check_bool "leaf" true (Node.is_leaf a);
+          check_bool "element" true (Node.kind a = Node.Element);
+          check_string "name" "a" (Node.local_name a);
+          check_bool "parent" true (Node.same (Option.get (Node.parent a)) r);
+          let t = List.hd (Node.children a) in
+          check_bool "same text node" true (Node.same t (List.hd (Node.children a)));
+          check_bool "text before b" true (Node.doc_order_compare t b < 0);
+          check_int "ancestors" 3 (List.length (Node.ancestors t));
+          check_int "no siblings" 0
+            (List.length (Node.following_siblings t @ Node.preceding_siblings t));
+          (match Node.typed_value a with
+           | Atomic.Untyped "x" -> ()
+           | _ -> Alcotest.fail "expected Untyped x");
+          check_string "path" "y" (run_on d "string(/r/a/text()/../following-sibling::b)")
+        | _ -> Alcotest.fail "expected two children");
+    test "a leaf is final" (fun () ->
+        let a = parse_fragment "<a>x</a>" in
+        let raises f =
+          match f () with () -> false | exception Invalid_argument _ -> true
+        in
+        check_bool "append_child" true
+          (raises (fun () -> Node.append_child a (Node.text "y")));
+        check_bool "set_attribute" true
+          (raises (fun () ->
+               Node.set_attribute a (Node.attribute (Xname.of_string "k") "v"))));
+    test "string_value of a leaf does not allocate" (fun () ->
+        let a = parse_fragment "<a>some text</a>" in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Node.string_value a))
+        done;
+        check_bool "no allocation" true (Gc.minor_words () -. w0 < 64.));
+    test "copies and streamed captures become leaves, match roots do not" (fun () ->
+        let a = Node.copy (Xq_xml.Builder.build (Xq_xml.Builder.el_text "a" "x")) in
+        check_bool "copy" true (Node.is_leaf a && leaf_read_ok a);
+        let any = { Xq_xml.Xml_stream.desc = true; test = Xq_xml.Xml_stream.Any } in
+        (* //*//*: every element below the root is a match *)
+        match
+          Xq_xml.Xml_stream.collect ~path:[ any; any ]
+            (`String "<r><b>x</b><c><d>y</d></c></r>")
+        with
+        | [ b; c; d ] ->
+          check_bool "match root b" false (Node.is_leaf b);
+          check_bool "match root d" false (Node.is_leaf d);
+          check_bool "d is c's child" true (Node.same (List.hd (Node.children c)) d);
+          check_bool "sealed" true (List.for_all all_sealed [ b; c; d ])
+        | l -> Alcotest.failf "expected three matches, got %d" (List.length l));
+    test "streamed capture descendants become leaves" (fun () ->
+        let path =
+          [ { Xq_xml.Xml_stream.desc = true; test = Xq_xml.Xml_stream.Name (Xname.of_string "c") } ]
+        in
+        match
+          Xq_xml.Xml_stream.collect ~path (`String "<r><c><d>y</d><e k='1'>z</e></c></r>")
+        with
+        | [ c ] ->
+          (match Node.children c with
+           | [ d; e ] ->
+             check_bool "d" true (Node.is_leaf d);
+             check_bool "e has an attribute" false (Node.is_leaf e)
+           | _ -> Alcotest.fail "expected two children");
+          check_bool "sealed" true (all_sealed c)
+        | _ -> Alcotest.fail "expected one match");
+    test "parsed seeded documents equal the builder's full trees" (fun () ->
+        List.iter
+          (fun (name, built) ->
+            let xml = serialize built in
+            let parsed = parse xml in
+            if leaf_count parsed = 0 then Alcotest.failf "%s: no leaves" name;
+            check_int (name ^ ": builder makes no leaves") 0 (leaf_count built);
+            check_bool (name ^ ": deep-equal") true (Deep_equal.nodes parsed built);
+            check_int (name ^ ": hash") (Deep_equal.hash_item (Item.Node built))
+              (Deep_equal.hash_item (Item.Node parsed));
+            let key n = Xq_engine.Key.canonicalize [ [ Item.Node n ] ] in
+            check_bool (name ^ ": grouping key") true
+              (Xq_engine.Key.equal (key parsed) (key built));
+            check_string (name ^ ": bytes") xml (serialize parsed);
+            check_string (name ^ ": indented bytes")
+              (Xq_xml.Serialize.node ~indent:true built)
+              (Xq_xml.Serialize.node ~indent:true parsed);
+            check_bool (name ^ ": sealed") true (all_sealed parsed))
+          (seeded_docs ()));
+    test "binio round trip keeps ids, leaves and bytes" (fun () ->
+        List.iter
+          (fun (name, built) ->
+            (* a detached root element encodes by value *)
+            let root = parse_fragment (serialize (List.hd (Node.children built))) in
+            let encode n =
+              let buf = Buffer.create 4096 in
+              Binio.put_item (Binio.registry ~detach:true ()) buf (Item.Node n);
+              Buffer.contents buf
+            in
+            let bytes = encode root in
+            match Binio.get_item (Binio.registry ()) (Binio.reader bytes) with
+            | Item.Node back ->
+              check_bool (name ^ ": shape") true (shape back = shape root);
+              check_string (name ^ ": xml") (serialize root) (serialize back);
+              check_string (name ^ ": wire bytes") bytes (encode back)
+            | Item.Atomic _ -> Alcotest.fail "expected a node")
+          (seeded_docs ()));
+    test "heap_words equals Obj.reachable_words" (fun () ->
+        let check name d =
+          check_int name (Obj.reachable_words (Obj.repr d)) (Node.heap_words d)
+        in
+        List.iter
+          (fun (name, built) -> check name (parse (serialize built)))
+          (seeded_docs ());
+        check "hand-written"
+          (parse
+             "<?p top?><!--c--><p:r xmlns:p='u' p:k='v' k=''><a>x</a><p:a>y</p:a>\
+              <b k='1'>z</b><c><!--in--><?q?>t<d/></c><a/><e></e></p:r><!--end-->"));
+    test "a fused scan skips the text of leaves" (fun () ->
+        let d = parse (orders_xml ()) in
+        Fun.protect
+          ~finally:(fun () -> Xq_par.Batch.set_size None)
+          (fun () ->
+            Xq_par.Batch.set_size (Some 4096);
+            let scan () = Xq_engine.Eval.run ~context_node:d "//order/lineitem" in
+            let n = List.length (scan ()) in
+            let w0 = Gc.minor_words () in
+            ignore (Sys.opaque_identity (scan ()));
+            (* about 60 words per lineitem; building the text children
+               of its leaf fields costs about 400 *)
+            let per_item = (Gc.minor_words () -. w0) /. float n in
+            if per_item > 150. then Alcotest.failf "%.1f words per lineitem" per_item));
   ]
 
 (* --- hostile streams ------------------------------------------------------ *)
@@ -420,4 +604,5 @@ let suites =
     ("xml.serializer", serializer_tests);
     ("xml.builder", builder_tests);
     ("xml.layout", layout_tests);
+    ("xml.leaf", leaf_tests);
   ]

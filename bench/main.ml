@@ -9,9 +9,6 @@
      dune exec bench/main.exe -- ablation-equality  — hash vs using-function grouping
      dune exec bench/main.exe -- ablation-window    — Q8: nests vs plain vs window clause
      dune exec bench/main.exe -- ablation-olap      — Q11 rollup / Q12 cube scaling
-     dune exec bench/main.exe -- ablation-counts    — the §3.1 count optimization
-     dune exec bench/main.exe -- ablation-index     — element-name index (off in §6)
-     dune exec bench/main.exe -- ablation-algebra   — plan-layer overhead
      dune exec bench/main.exe -- ablation-strategy  — hash vs sort vs fused-sort grouping
      dune exec bench/main.exe -- ablation-parallel  — domain-pool degree 1/2/4 per strategy
      dune exec bench/main.exe -- ablation-batch     — item-at-a-time vs batched + key dictionary
@@ -273,74 +270,6 @@ let ablation_olap () =
         "books=%5d  Q11 rollup: %10s (%3d categories)   Q12 cube: %10s (%3d groupings)\n%!"
         books (Timing.fmt_ms t11) groups11 (Timing.fmt_ms t12) groups12)
     [ 200; 400; 800 ]
-
-(* --- Ablation E: the count optimization (Section 3.1) ----------------------- *)
-
-let ablation_counts () =
-  Timing.header
-    "Ablation E: count optimization — nest $litem vs nest literal 1";
-  List.iter
-    (fun lineitems ->
-      let doc = orders_doc lineitems in
-      let query = Xq.parse (Queries.qgb_one "shipmode") in
-      Xq.check query;
-      let optimized = Xq.Rewrite.Rewrite.optimize_counts_query query in
-      let t_plain =
-        Timing.measure_ms ~runs:3 (fun () -> Xq.run_query ~check:false doc query)
-      in
-      let t_opt =
-        Timing.measure_ms ~runs:3 (fun () ->
-            Xq.run_query ~check:false doc optimized)
-      in
-      Printf.printf
-        "lineitems=%6d  nest $litem=%10s   nest 1=%10s   speedup %.2fx\n%!"
-        lineitems (Timing.fmt_ms t_plain) (Timing.fmt_ms t_opt)
-        (t_plain /. t_opt))
-    [ 8_000; 16_000; 32_000 ]
-
-(* --- Ablation F: element-name indexes ---------------------------------------- *)
-
-let ablation_index () =
-  Timing.header
-    "Ablation F: //name via element-name index (paper: 'no indexes were used')";
-  let doc = orders_doc lineitems_default in
-  List.iter
-    (fun (e : Queries.experiment) ->
-      let t_scan = Timing.measure_ms ~runs:3 (fun () -> Xq.run doc e.qgb) in
-      let t_idx =
-        Timing.measure_ms ~runs:3 (fun () -> Xq.run ~use_index:true doc e.qgb)
-      in
-      let tq_scan = Timing.measure_ms ~runs:2 (fun () -> Xq.run doc e.q) in
-      let tq_idx =
-        Timing.measure_ms ~runs:2 (fun () -> Xq.run ~use_index:true doc e.q)
-      in
-      Printf.printf
-        "%-4s Qgb: scan=%9s indexed=%9s (%.1fx)   Q: scan=%9s indexed=%9s (%.1fx)\n%!"
-        e.label (Timing.fmt_ms t_scan) (Timing.fmt_ms t_idx) (t_scan /. t_idx)
-        (Timing.fmt_ms tq_scan) (Timing.fmt_ms tq_idx) (tq_scan /. tq_idx))
-    [ List.hd Queries.experiments; List.nth Queries.experiments 3 ]
-
-(* --- Ablation G: explicit algebra vs direct evaluation ----------------------- *)
-
-let ablation_algebra () =
-  Timing.header
-    "Ablation G: plan-compiled execution (Plan/Exec) vs direct evaluation";
-  let doc = orders_doc lineitems_default in
-  List.iter
-    (fun (e : Queries.experiment) ->
-      let query = Xq.parse e.qgb in
-      Xq.check query;
-      let t_direct =
-        Timing.measure_ms ~runs:3 (fun () -> Xq.run_query ~check:false doc query)
-      in
-      let t_algebra =
-        Timing.measure_ms ~runs:3 (fun () ->
-            Xq.Algebra.Exec.eval_query ~check:false ~context_node:doc query)
-      in
-      Printf.printf "%-4s %-26s direct=%10s algebra=%10s (overhead %.2fx)\n%!"
-        e.label e.keys (Timing.fmt_ms t_direct) (Timing.fmt_ms t_algebra)
-        (t_algebra /. t_direct))
-    Queries.experiments
 
 (* --- Ablation H: grouping strategy ------------------------------------------- *)
 
@@ -999,9 +928,6 @@ let () =
   if want "ablation-equality" then ablation_equality ();
   if want "ablation-window" then ablation_window ();
   if want "ablation-olap" then ablation_olap ();
-  if want "ablation-counts" then ablation_counts ();
-  if want "ablation-index" then ablation_index ();
-  if want "ablation-algebra" then ablation_algebra ();
   if want "ablation-strategy" then ablation_strategy ();
   if want "ablation-parallel" then ablation_parallel ~full ();
   if want "ablation-batch" then ablation_batch ~full ();

@@ -249,8 +249,8 @@ let load_input = function
   | Some path -> Xq.load_file path
   | None -> Xq.load_string "<empty/>"
 
-(* Make --parallel the process default so both the direct evaluator and
-   the plan algebra honor it. *)
+(* Make --parallel the process default, as [Pipeline.run] does for
+   run/eval. *)
 let apply_parallel = function
   | Some n -> Xq.Par.set_default_degree n
   | None -> ()
@@ -272,7 +272,6 @@ let run_common ~source ~input ~rewrite ~indent ~time ~explain_analyze ~strategy
             k_parallel = parallel;
             k_batch = batch;
             k_rewrite = rewrite;
-            k_use_index = false;
             k_timeout_ms = timeout;
             k_max_groups = max_groups;
             k_max_mem_mb = max_mem;
@@ -354,26 +353,17 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Parse and statically check a query file.")
     Term.(const action $ query_file)
 
-let optimize_counts_flag =
-  let doc = "Apply the count optimization (nest a literal 1 when the \
-             nesting variable is only counted)." in
-  Arg.(value & flag & info [ "optimize-counts" ] ~doc)
-
 let explain_flag =
   let doc = "Print the evaluation plan instead of the query text." in
   Arg.(value & flag & info [ "explain" ] ~doc)
 
 let plan_cmd =
-  let action qf rewrite optimize explain =
+  let action qf rewrite explain =
     with_errors (fun () ->
         let query = Xq.parse (read_file qf) in
         Xq.check query;
         let query =
           if rewrite then Xq.Rewrite.Rewrite.rewrite_query query else query
-        in
-        let query =
-          if optimize then Xq.Rewrite.Rewrite.optimize_counts_query query
-          else query
         in
         if explain then print_string (Xq.Rewrite.Explain.query query)
         else print_endline (Xq.Lang.Pretty.query query))
@@ -382,8 +372,7 @@ let plan_cmd =
     (Cmd.info "plan"
        ~doc:"Print the parsed (optionally rewritten) query back as XQuery, \
              or its evaluation plan with --explain.")
-    Term.(const action $ query_file $ rewrite_flag $ optimize_counts_flag
-          $ explain_flag)
+    Term.(const action $ query_file $ rewrite_flag $ explain_flag)
 
 let plan_optimize_flag =
   let doc = "Run the logical plan optimizer before executing." in
@@ -406,26 +395,15 @@ let profile_cmd =
          | None -> ());
         let query = Xq.parse (read_file qf) in
         Xq.check query;
-        match query.Xq.Lang.Ast.body with
-        | Xq.Lang.Ast.Flwor f ->
-          let plan = Xq.Algebra.Plan.of_flwor f in
-          let plan =
-            let strategy =
-              match strategy with
-              | Some s -> s
-              | None -> Xq.Algebra.Optimizer.strategy_from_env ()
-            in
-            Xq.Algebra.Optimizer.apply_strategy strategy plan
-          in
-          let plan = Xq.Algebra.Optimizer.push_aggregates plan in
-          let plan =
-            if optimize then Xq.Algebra.Optimizer.optimize plan else plan
-          in
-          let ctx = Xq.Algebra.Exec.query_context ~context_node:doc query in
+        match
+          match query.Xq.Lang.Ast.body with
+          | Xq.Lang.Ast.Flwor _ ->
+            Xq.Algebra.Exec.analyze_query ~optimize ?strategy ?parallel
+              ~context_node:doc query
+          | _ -> []
+        with
+        | [ Xq.Algebra.Exec.Analyzed_plan (plan, result, stats) ] ->
           print_string (Xq.Algebra.Plan.to_string plan);
-          let result, stats =
-            Xq.Algebra.Exec.run_instrumented ?parallel ctx plan
-          in
           Printf.printf "\n%-24s %10s %10s %10s %10s %10s %8s %8s %5s %12s\n"
             "operator" "rows in" "rows out" "groups" "cmp" "walks" "dict"
             "batches" "par" "cpu ms";

@@ -8,9 +8,9 @@ let help_text =
    Usage: xq_fuzz [OPTIONS]\n\n\
    Generates random FLWOR/group-by queries with matching small documents\n\
    (seeded, replayable), runs each through the engine under a sampled\n\
-   configuration matrix (direct evaluator; plan executor at strategy\n\
-   hash/sort/auto, parallel degree 1/2/4, spill watermark armed or off;\n\
-   fault injection always off) and compares per-item serialized output\n\
+   configuration matrix (plan executor at strategy hash/sort/auto,\n\
+   parallel degree 1/2/4, spill watermark armed or off; fault injection\n\
+   always off) and compares per-item serialized output\n\
    against the naive reference evaluator - as multisets of items when\n\
    group order is unpinned (paper section 3.4.2). Failing cases are\n\
    greedily shrunk to minimal reproducers.\n\n\

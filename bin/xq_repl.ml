@@ -8,7 +8,6 @@
      :gen WHICH N    generate a workload (orders|sales|bibliography|auction)
      :plan           toggle printing the compiled plan before results
      :explain        explain the last query's evaluation plan
-     :index          toggle the element-name index
      :quit           exit
 *)
 
@@ -17,13 +16,12 @@ let banner =
    extensions.\nType a query (multi-line supported), :help for directives."
 
 let help =
-  ":load FILE | :gen orders|sales|bibliography|auction N | :plan | :index | \
-   :explain | :help | :quit"
+  ":load FILE | :gen orders|sales|bibliography|auction N | :plan | :explain \
+   | :help | :quit"
 
 type state = {
   mutable doc : Xq.doc;
   mutable show_plan : bool;
-  mutable use_index : bool;
   mutable last_query : Xq.Lang.Ast.query option;
 }
 
@@ -68,9 +66,6 @@ let evaluate st source =
          serialization itself) never emits a partial result. *)
       match
         Xq.Pipeline.run
-          ~knobs:
-            Xq.Pipeline.
-              { default_knobs with k_use_index = st.use_index }
           ~indent:true
           ~compiled:(Xq.Pipeline.of_query ~source query)
           ~load_doc:(fun () -> st.doc)
@@ -92,11 +87,6 @@ let directive st line =
   | [ ":plan" ] ->
     st.show_plan <- not st.show_plan;
     Printf.printf "plan printing %s\n%!" (if st.show_plan then "on" else "off");
-    `Handled
-  | [ ":index" ] ->
-    st.use_index <- not st.use_index;
-    Printf.printf "element-name index %s\n%!"
-      (if st.use_index then "on" else "off");
     `Handled
   | [ ":explain" ] -> begin
     (match st.last_query with
@@ -147,7 +137,6 @@ let () =
     {
       doc = Xq.load_string "<empty/>";
       show_plan = false;
-      use_index = false;
       last_query = None;
     }
   in

@@ -484,9 +484,6 @@ let run_cmd =
       value & flag
       & info [ "rewrite" ] ~doc:"Apply the implicit-group-by rewrite.")
   in
-  let index_flag =
-    Arg.(value & flag & info [ "index" ] ~doc:"Use the element-name index.")
-  in
   let indent_flag =
     Arg.(value & flag & info [ "indent" ] ~doc:"Pretty-print the output.")
   in
@@ -505,8 +502,8 @@ let run_cmd =
           ])
   in
   let action socket retries retry_base deadline qf input inline strategy
-      parallel batch timeout max_groups max_mem spill_at rewrite use_index
-      indent stream =
+      parallel batch timeout max_groups max_mem spill_at rewrite indent
+      stream =
     let rq_doc =
       match input with
       | None -> Protocol.Doc_none
@@ -530,7 +527,6 @@ let run_cmd =
                 k_parallel = parallel;
                 k_batch = batch;
                 k_rewrite = rewrite;
-                k_use_index = use_index;
                 k_timeout_ms = timeout;
                 k_max_groups = max_groups;
                 k_max_mem_mb = max_mem;
@@ -554,7 +550,7 @@ let run_cmd =
       const action $ socket_arg $ retries_arg $ retry_base_arg $ deadline_arg
       $ query_file $ input_file $ inline_flag $ strategy_opt $ parallel_opt
       $ batch_opt $ timeout_opt $ max_groups_opt $ max_mem_opt $ spill_at_opt
-      $ rewrite_flag $ index_flag $ indent_flag $ stream_flag)
+      $ rewrite_flag $ indent_flag $ stream_flag)
 
 let stats_cmd =
   let action socket retries retry_base deadline =

@@ -75,11 +75,7 @@ let () =
   (match query.Xq.Lang.Ast.body with
    | Xq.Lang.Ast.Flwor f ->
      let plan = Xq.Algebra.Plan.of_flwor f in
-     let ctx =
-       Xq.Engine.Context.with_focus
-         (Xq.Engine.Context.of_prolog query.Xq.Lang.Ast.prolog)
-         { Xq.Engine.Context.item = Xq.Xdm.Item.Node doc; position = 1; size = 1 }
-     in
+     let ctx = Xq.Algebra.Exec.query_context ~context_node:doc query in
      let _, stats = Xq.Algebra.Exec.run_profiled ctx plan in
      print_endline "\nOperator profile of the top-sellers query:";
      List.iter

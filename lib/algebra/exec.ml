@@ -252,19 +252,27 @@ type sink = {
          callback — i.e. never while a push is in flight. *)
 }
 
-(* Accumulate single tuples and emit full vectors downstream. *)
+(* Accumulate single tuples and emit full vectors downstream. The buffer
+   starts empty and doubles up to [batch] on demand: a nested FLWOR
+   builds its chain on every evaluation, and most of those chains carry
+   a handful of tuples, not a full vector. *)
 let rebatcher batch down =
   let cap = max 1 batch in
-  let buf = Array.make cap Smap.empty in
+  let buf = ref [||] in
   let fill = ref 0 in
   let flush () =
     if !fill > 0 then begin
-      down.push (Array.sub buf 0 !fill);
+      down.push (Array.sub !buf 0 !fill);
       fill := 0
     end
   in
   let push_one t =
-    Array.unsafe_set buf !fill t;
+    if !fill = Array.length !buf then begin
+      let grown = Array.make (min cap (max 8 (2 * !fill))) t in
+      Array.blit !buf 0 grown 0 !fill;
+      buf := grown
+    end;
+    Array.unsafe_set !buf !fill t;
     incr fill;
     if !fill >= cap then flush ()
   in
@@ -479,13 +487,22 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
       let row_cost r =
         Array.fold_left (fun c a -> c + Acc.charged_bytes a) 0 r.ar_accs
       in
+      (* a slot only [count] reads skips atomization and the other folds *)
+      let steps =
+        Array.of_list
+          (List.map
+             (function
+               | _, [ Acc.Count ] -> Acc.step_count
+               | _ -> Acc.step)
+             shape.Plan.aggs)
+      in
       let make_row tuple =
         let keys = shape_keys_of ctx shape tuple in
         let accs = Array.init nslots (fun _ -> Acc.create ()) in
         Array.iteri
           (fun i (n : Ast.nest_spec) ->
             match eval_in ctx tuple n.Ast.nest_expr with
-            | value -> Acc.step accs.(i) value
+            | value -> steps.(i) accs.(i) value
             | exception Xerror.Error (code, msg)
               when not (Xerror.is_resource code) ->
               (* delivered later, in the materializing path's order *)
@@ -761,9 +778,9 @@ let run_profiled ?parallel ctx (plan : Plan.plan) =
         })
       stats )
 
-let run ?parallel ctx (plan : Plan.plan) =
-  let parallel = match parallel with Some p -> p | None -> 1 in
-  let batch = Batch.size () in
+(* The chain's last sink: number the tuples ([return at]) and evaluate
+   the return clause; [result ()] concatenates what it collected. *)
+let return_sink ctx (plan : Plan.plan) =
   let rev_out = ref [] in
   let counter = ref 0 in
   let final =
@@ -785,6 +802,12 @@ let run ?parallel ctx (plan : Plan.plan) =
       pressure = (fun () -> ());
     }
   in
+  (final, fun () -> Xseq.concat (List.rev !rev_out))
+
+let run ?parallel ctx (plan : Plan.plan) =
+  let parallel = match parallel with Some p -> p | None -> 1 in
+  let batch = Batch.size () in
+  let final, result = return_sink ctx plan in
   let chain =
     List.fold_right
       (fun op down -> op_sink ~batch ~parallel ctx op down)
@@ -792,55 +815,87 @@ let run ?parallel ctx (plan : Plan.plan) =
       final
   in
   chain.close ();
-  Xseq.concat (List.rev !rev_out)
+  result ()
 
-(* The body's top-level FLWORs (including members of a top-level sequence)
-   execute through plans; other expressions — and FLWORs nested inside
-   them — evaluate through the engine, which has identical semantics. *)
-let rec eval_top ~optimize ~strategy ~parallel ctx (e : Ast.expr) =
-  match e with
-  | Ast.Flwor f ->
-    let plan = Plan.of_flwor f in
-    let plan = Optimizer.apply_strategy strategy plan in
-    let plan = Optimizer.push_aggregates plan in
-    let plan = if optimize then Optimizer.optimize plan else plan in
-    run ~parallel ctx plan
-  | Ast.Sequence es ->
-    Xseq.concat (List.map (eval_top ~optimize ~strategy ~parallel ctx) es)
-  | _ -> Xq_engine.Eval.eval ctx e
+(* --- queries --------------------------------------------------------------- *)
 
-(* Dynamic context for a query: prolog, focus on the context node, then
-   the prolog's global variables (evaluated in order). *)
-let query_context ~context_node (q : Ast.query) =
-  let ctx = Xq_engine.Context.of_prolog q.Ast.prolog in
-  let focus =
-    { Xq_engine.Context.item = Item.Node context_node; position = 1; size = 1 }
-  in
-  let ctx = Xq_engine.Context.with_focus ctx focus in
-  List.fold_left
-    (fun ctx (v, e) ->
-      Xq_engine.Context.bind_global ctx v (Xq_engine.Eval.eval ctx e))
-    ctx q.Ast.prolog.Ast.global_vars
+(* The one place a FLWOR becomes an executable plan: compile, pick the
+   grouping operator, push aggregates, optionally optimize. *)
+let plan_flwor ?(optimize = false) ~strategy f =
+  let plan = Plan.of_flwor f in
+  let plan = Optimizer.apply_strategy strategy plan in
+  let plan = Optimizer.push_aggregates plan in
+  if optimize then Optimizer.optimize plan else plan
 
-let eval_query ?(check = true) ?(optimize = false) ?strategy ?parallel
-    ~context_node (q : Ast.query) =
-  if check then Static.check_query q;
+(* Dynamic context for a query: prolog, the fn:doc/fn:collection
+   registry, the FLWOR runner, focus on the context node, then the
+   prolog's global variables (evaluated in order — they may hold FLWORs
+   themselves, so the runner goes in first). *)
+let query_context ?optimize ?strategy ?parallel ?(documents = [])
+    ?(collections = []) ?default_collection ~context_node (q : Ast.query) =
   let strategy =
-    match strategy with
-    | Some s -> s
-    | None -> Optimizer.strategy_from_env ()
+    match strategy with Some s -> s | None -> Optimizer.strategy_from_env ()
   in
   let parallel =
-    match parallel with
-    | Some p -> p
-    | None -> Par.default_degree ()
+    match parallel with Some p -> p | None -> Par.default_degree ()
   in
-  let ctx = query_context ~context_node q in
-  eval_top ~optimize ~strategy ~parallel ctx q.Ast.body
+  let module C = Xq_engine.Context in
+  let ctx = C.of_prolog q.Ast.prolog in
+  let ctx =
+    List.fold_left (fun ctx (uri, d) -> C.add_document ctx ~uri d) ctx documents
+  in
+  let ctx =
+    List.fold_left
+      (fun ctx (name, nodes) -> C.add_collection ctx ~name nodes)
+      ctx collections
+  in
+  let ctx =
+    match default_collection with
+    | Some nodes -> C.set_default_collection ctx nodes
+    | None -> ctx
+  in
+  let ctx =
+    C.with_flwor_runner ctx (fun ctx f ->
+        run ~parallel ctx (plan_flwor ?optimize ~strategy f))
+  in
+  let ctx =
+    C.with_focus ctx { C.item = Item.Node context_node; position = 1; size = 1 }
+  in
+  List.fold_left
+    (fun ctx (v, e) -> C.bind_global ctx v (Xq_engine.Eval.eval ctx e))
+    ctx q.Ast.prolog.Ast.global_vars
+
+let eval_query ?(check = true) ?optimize ?strategy ?parallel ?documents
+    ?collections ?default_collection ~context_node (q : Ast.query) =
+  if check then Static.check_query q;
+  Xq_engine.Eval.eval
+    (query_context ?optimize ?strategy ?parallel ?documents ?collections
+       ?default_collection ~context_node q)
+    q.Ast.body
 
 let run_string ?optimize ?strategy ?parallel ~context_node src =
   eval_query ?optimize ?strategy ?parallel ~context_node
     (Parser.parse_query src)
+
+type analyzed =
+  | Analyzed_plan of Plan.plan * Xseq.t * Stats.t
+  | Analyzed_expr of Xseq.t
+
+let analyze_query ?optimize ?strategy ?parallel ~context_node (q : Ast.query) =
+  let strategy =
+    match strategy with Some s -> s | None -> Optimizer.strategy_from_env ()
+  in
+  let ctx = query_context ?optimize ~strategy ?parallel ~context_node q in
+  let rec go (e : Ast.expr) =
+    match e with
+    | Ast.Flwor f ->
+      let plan = plan_flwor ?optimize ~strategy f in
+      let result, stats = run_instrumented ?parallel ctx plan in
+      [ Analyzed_plan (plan, result, stats) ]
+    | Ast.Sequence es -> List.concat_map go es
+    | other -> [ Analyzed_expr (Xq_engine.Eval.eval ctx other) ]
+  in
+  go q.Ast.body
 
 (* --- streamed execution -------------------------------------------------- *)
 
@@ -854,7 +909,7 @@ let run_string ?optimize ?strategy ?parallel ~context_node src =
    memory pressure sees parse-ahead data; the governor's stream mode
    additionally switches group spilling to the detached by-value codec,
    which is what lets spilled members actually release heap. *)
-let eval_query_stream ?(check = true) ?(optimize = false) ?strategy ?parallel
+let eval_query_stream ?(check = true) ?optimize ?strategy ?parallel
     ?keep_whitespace ~source ~path ~var ~positional (q : Ast.query) =
   if check then Static.check_query q;
   let strategy =
@@ -872,10 +927,7 @@ let eval_query_stream ?(check = true) ?(optimize = false) ?strategy ?parallel
     | Ast.Flwor f -> f
     | _ -> invalid_arg "Exec.eval_query_stream: body is not a FLWOR"
   in
-  let plan = Plan.of_flwor f in
-  let plan = Optimizer.apply_strategy strategy plan in
-  let plan = Optimizer.push_aggregates plan in
-  let plan = if optimize then Optimizer.optimize plan else plan in
+  let plan = plan_flwor ?optimize ~strategy f in
   let rest =
     match linearize plan.Plan.pipeline with
     | Plan.Unit :: Plan.For_expand { var = v; _ } :: rest when v = var -> rest
@@ -885,29 +937,12 @@ let eval_query_stream ?(check = true) ?(optimize = false) ?strategy ?parallel
   in
   (* the focus never escapes into the query (the projection verdict
      rejects free context items), so an empty document stands in *)
-  let ctx = query_context ~context_node:(Node.document ()) q in
-  let batch = Batch.size () in
-  let rev_out = ref [] in
-  let counter = ref 0 in
-  let final =
-    {
-      push =
-        (fun vec ->
-          Array.iter
-            (fun t ->
-              let t =
-                match plan.Plan.return_at with
-                | None -> t
-                | Some v ->
-                  incr counter;
-                  Smap.add v (Xseq.of_int !counter) t
-              in
-              rev_out := eval_in ctx t plan.Plan.return_expr :: !rev_out)
-            vec);
-      close = (fun () -> ());
-      pressure = (fun () -> ());
-    }
+  let ctx =
+    query_context ?optimize ~strategy ~parallel ~context_node:(Node.document ())
+      q
   in
+  let batch = Batch.size () in
+  let final, result = return_sink ctx plan in
   (* parse-ahead accounting: emitted subtrees stay charged until their
      vector is consumed downstream (whose own accounting then sees them
      via the heap estimate) *)
@@ -1021,4 +1056,4 @@ let eval_query_stream ?(check = true) ?(optimize = false) ?strategy ?parallel
               Xq_xml.Xml_stream.scan ?keep_whitespace ~path ~emit source;
               flush ();
               chain.close ())));
-  Xseq.concat (List.rev !rev_out)
+  result ()

@@ -73,29 +73,80 @@ val run_profiled :
   Plan.plan ->
   Xseq.t * operator_stat list
 
-(** Build the dynamic context a query executes in: prolog functions, the
-    focus on [context_node], and the prolog's global variables. *)
-val query_context :
-  context_node:Node.t -> Xq_lang.Ast.query -> Xq_engine.Context.t
+(** {1 Queries}
 
-(** Compile and execute a whole query against a context node — the
-    algebra-backed counterpart of [Xq_engine.Eval.eval_query]: the body's
-    top-level FLWORs (including members of a top-level sequence) execute
-    through {!Plan} operators; FLWORs nested inside other expressions
-    evaluate through the engine, which has identical semantics.
-    [optimize] runs {!Optimizer.optimize} on each compiled plan.
-    [strategy] selects the grouping operator (default: the
-    [XQ_GROUP_STRATEGY] environment variable, else hash). [parallel]
-    sets the domain-pool degree (default: [XQ_PARALLEL], else 1 —
-    sequential); results are byte-identical at any degree. *)
+    Every FLWOR of a query — top-level, nested inside another expression,
+    in a global variable or in a function body — executes as a {!Plan}
+    operator chain: the context a query runs in carries a FLWOR runner
+    ({!Xq_engine.Context.run_flwor}) that {!query_context} installs with
+    the query's [optimize], [strategy] and [parallel] settings. *)
+
+(** The one place a FLWOR becomes a plan: {!Plan.of_flwor}, then
+    {!Optimizer.apply_strategy}, {!Optimizer.push_aggregates} and, when
+    [optimize] is set, {!Optimizer.optimize}. *)
+val plan_flwor :
+  ?optimize:bool -> strategy:Optimizer.group_strategy -> Xq_lang.Ast.flwor ->
+  Plan.plan
+
+(** Build the dynamic context a query executes in: prolog functions, the
+    [fn:doc]/[fn:collection] registry ([documents], [collections],
+    [default_collection]), the FLWOR runner, the focus on
+    [context_node], and the prolog's global variables. [strategy]
+    defaults to the [XQ_GROUP_STRATEGY] environment variable, else hash;
+    [parallel] to [XQ_PARALLEL], else 1 — results are byte-identical at
+    any setting. *)
+val query_context :
+  ?optimize:bool ->
+  ?strategy:Optimizer.group_strategy ->
+  ?parallel:int ->
+  ?documents:(string * Node.t) list ->
+  ?collections:(string * Node.t list) list ->
+  ?default_collection:Node.t list ->
+  context_node:Node.t ->
+  Xq_lang.Ast.query ->
+  Xq_engine.Context.t
+
+(** Check (unless [check] is [false]), build the {!query_context} and
+    evaluate the body against the context node. *)
 val eval_query :
   ?check:bool ->
   ?optimize:bool ->
   ?strategy:Optimizer.group_strategy ->
   ?parallel:int ->
+  ?documents:(string * Node.t) list ->
+  ?collections:(string * Node.t list) list ->
+  ?default_collection:Node.t list ->
   context_node:Node.t ->
   Xq_lang.Ast.query ->
   Xseq.t
+
+(** Parse, check and execute. *)
+val run_string :
+  ?optimize:bool ->
+  ?strategy:Optimizer.group_strategy ->
+  ?parallel:int ->
+  context_node:Node.t ->
+  string ->
+  Xseq.t
+
+(** One top-level part of an analyzed query body. *)
+type analyzed =
+  | Analyzed_plan of Plan.plan * Xseq.t * Stats.t
+      (** a top-level FLWOR (or member of a top-level sequence), run
+          through {!run_instrumented}: its plan, result and statistics *)
+  | Analyzed_expr of Xseq.t  (** any other top-level expression *)
+
+(** Execute the query body for EXPLAIN ANALYZE and [profile]: each
+    top-level FLWOR runs instrumented (FLWORs nested inside it run
+    through the context's runner as usual), in body order. Static
+    checking is the caller's. *)
+val analyze_query :
+  ?optimize:bool ->
+  ?strategy:Optimizer.group_strategy ->
+  ?parallel:int ->
+  context_node:Node.t ->
+  Xq_lang.Ast.query ->
+  analyzed list
 
 (** Execute a streamable query over a streamed document. The caller
     supplies the projection [path], the streamed binding's [var] and
@@ -108,7 +159,8 @@ val eval_query :
     grouping spills detach members by value (memory stays bounded by
     the watermark). Output is byte-identical to {!eval_query} over the
     materialized document for every query the projection analysis
-    accepts. Raises whatever the streamed parse raises
+    accepts. FLWORs nested in the query run through the same runner as
+    in {!eval_query}. Raises whatever the streamed parse raises
     ([Xml_parse.Parse_error], [XQENG0005], [XQENG0008]). *)
 val eval_query_stream :
   ?check:bool ->
@@ -121,13 +173,4 @@ val eval_query_stream :
   var:string ->
   positional:string option ->
   Xq_lang.Ast.query ->
-  Xseq.t
-
-(** Parse, check, compile and execute. *)
-val run_string :
-  ?optimize:bool ->
-  ?strategy:Optimizer.group_strategy ->
-  ?parallel:int ->
-  context_node:Node.t ->
-  string ->
   Xseq.t

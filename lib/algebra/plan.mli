@@ -9,8 +9,8 @@
     {!compile} translates a FLWOR clause list into an operator tree;
     {!Exec.run} interprets it (delegating expression evaluation to
     [Xq_engine.Eval]); [Exec.to_string] renders the plan. The test suite
-    proves [Exec.run ∘ compile] agrees with the direct evaluator on the
-    paper's queries and on randomized workloads. *)
+    checks [Exec.run ∘ compile] against the naive reference evaluator on
+    the paper's queries and on randomized workloads. *)
 
 open Xq_lang
 

@@ -23,14 +23,12 @@ let load_file path = Xq_xml.Xml_parse.parse_file path
 let parse src = Xq_lang.Parser.parse_query src
 let check q = Xq_lang.Static.check_query q
 
-let run_query ?check ?use_index ?documents ?collections ?default_collection
-    doc q =
-  Xq_engine.Eval.eval_query ?check ?use_index ?documents ?collections
-    ?default_collection ~context_node:doc q
+let run_query ?check ?documents ?collections ?default_collection doc q =
+  Xq_algebra.Exec.eval_query ?check ?documents ?collections ?default_collection
+    ~context_node:doc q
 
-let run ?use_index ?documents ?collections ?default_collection doc src =
-  run_query ?use_index ?documents ?collections ?default_collection doc
-    (parse src)
+let run ?documents ?collections ?default_collection doc src =
+  run_query ?documents ?collections ?default_collection doc (parse src)
 
 let run_rewritten doc src =
   let q = parse src in

@@ -80,11 +80,8 @@ val check : Xq_lang.Ast.query -> unit
 
 (** Parse, check and evaluate a query against a document. [documents],
     [collections] and [default_collection] are served to the query
-    through [fn:doc] and [fn:collection]; [use_index] enables the
-    element-name index over the document (off by default, as in the
-    paper's experiments). *)
+    through [fn:doc] and [fn:collection]. *)
 val run :
-  ?use_index:bool ->
   ?documents:(string * doc) list ->
   ?collections:(string * doc list) list ->
   ?default_collection:doc list ->
@@ -95,7 +92,6 @@ val run :
 (** Evaluate an already-parsed query. *)
 val run_query :
   ?check:bool ->
-  ?use_index:bool ->
   ?documents:(string * doc) list ->
   ?collections:(string * doc list) list ->
   ?default_collection:doc list ->

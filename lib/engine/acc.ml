@@ -158,6 +158,10 @@ let step acc (seq : Xseq.t) =
       acc.max_err <- !emax)
     seq
 
+(* The step for a slot only [count] reads: fn:count does not atomize,
+   so the other folds (and the atomization feeding them) are skipped. *)
+let step_count acc (seq : Xseq.t) = acc.n <- acc.n + List.length seq
+
 (* Merge a later partial into an earlier one (spill re-encounter).
    Earlier state wins every sticky error; the later best folds in as one
    comparison step. Mutates and returns [a]. *)

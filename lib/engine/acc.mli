@@ -28,6 +28,11 @@ val create : unit -> t
     raises. *)
 val step : t -> Xseq.t -> unit
 
+(** [step] for a slot whose only aggregate is [Count]: adds the item
+    count and nothing else (no atomization, no sum or min/max fold).
+    {!finish} is then only meaningful for [Count]. *)
+val step_count : t -> Xseq.t -> unit
+
 (** Record a dynamic error raised by the nest expression itself (first
     one sticks). The executor re-raises it before pushing any group
     output, matching the unrewritten materialization order. *)

@@ -16,8 +16,14 @@ type t = {
   documents : Node.t Smap.t;
   collections : Node.t list Smap.t;
   default_coll : Node.t list option;
-  index : Name_index.t option;
+  flwor_runner : t -> Ast.flwor -> Xseq.t;
 }
+
+(* A context built without [with_flwor_runner] has no FLWOR engine: the
+   engine lives above this library (the plan executor), which installs
+   itself once per query. *)
+let no_runner _ _ =
+  invalid_arg "Context: no FLWOR runner installed (use Exec.query_context)"
 
 let empty =
   {
@@ -29,7 +35,7 @@ let empty =
     documents = Smap.empty;
     collections = Smap.empty;
     default_coll = None;
-    index = None;
+    flwor_runner = no_runner;
   }
 
 let of_prolog (p : Ast.prolog) =
@@ -98,6 +104,6 @@ let find_collection ctx name = Smap.find_opt name ctx.collections
 
 let default_collection ctx = ctx.default_coll
 
-let set_name_index ctx idx = { ctx with index = Some idx }
+let with_flwor_runner ctx runner = { ctx with flwor_runner = runner }
 
-let name_index ctx = ctx.index
+let run_flwor ctx f = ctx.flwor_runner ctx f

@@ -22,8 +22,7 @@ type t
 val empty : t
 
 (** Build a context from a query prolog: registers declared functions;
-    global variables are evaluated later by the engine (see
-    {!Eval.eval_query}). *)
+    global variables are evaluated later ([Exec.query_context]). *)
 val of_prolog : Ast.prolog -> t
 
 val ordering : t -> Ast.ordering_mode
@@ -63,11 +62,17 @@ val find_document : t -> string -> Node.t option
 val find_collection : t -> string -> Node.t list option
 val default_collection : t -> Node.t list option
 
-(** {1 Optional element-name index}
+(** {1 FLWOR runner}
 
-    When set, the evaluator answers [//name] steps rooted at the indexed
-    tree from the index (see {!Name_index}); unset by default — the
-    paper's experiments run without indexes. *)
+    The evaluator runs every FLWOR expression — top-level, nested or in
+    a function body — through the runner stored here. The plan executor
+    installs it once per query ([Exec.query_context]) with that query's
+    grouping strategy and parallel degree; being a context field rather
+    than a process global, concurrent queries with different settings
+    never see each other's. A context without one raises
+    [Invalid_argument] on its first FLWOR. *)
 
-val set_name_index : t -> Name_index.t -> t
-val name_index : t -> Name_index.t option
+val with_flwor_runner : t -> (t -> Ast.flwor -> Xseq.t) -> t
+
+(** Run a FLWOR expression in this context through the installed runner. *)
+val run_flwor : t -> Ast.flwor -> Xseq.t

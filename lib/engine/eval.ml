@@ -4,38 +4,8 @@ module Governor = Xq_governor.Governor
 
 module Smap = Map.Make (String)
 
-(* FLWOR tuples: the named variable bindings of one point in the stream. *)
-type tuple = Xseq.t Smap.t
-
 let ctx_with_tuple ctx tuple =
   Smap.fold (fun v value ctx -> Context.bind ctx v value) tuple ctx
-
-(* Spill codec for FLWOR tuples: sorted (variable, sequence) bindings.
-   Handed to the grouping operator so it can serialize tuples when the
-   governor's memory watermark trips. *)
-let tuple_codec : tuple Group.codec =
-  {
-    Group.enc =
-      (fun reg buf tup ->
-        Binio.put_varint buf (Smap.cardinal tup);
-        Smap.iter
-          (fun v value ->
-            Binio.put_string buf v;
-            Binio.put_seq reg buf value)
-          tup);
-    dec =
-      (fun reg r ->
-        let n = Binio.get_varint r in
-        let rec go acc i =
-          if i >= n then acc
-          else begin
-            let v = Binio.get_string r in
-            let value = Binio.get_seq reg r in
-            go (Smap.add v value acc) (i + 1)
-          end
-        in
-        go Smap.empty 0);
-  }
 
 (* --- axes and node tests ---------------------------------------------- *)
 
@@ -336,7 +306,7 @@ let rec eval ctx (e : Ast.expr) : Xseq.t =
     if Xseq.effective_boolean_value (eval ctx c) then eval ctx t
     else eval ctx e
   | Quantified (q, binds, body) -> Xseq.of_bool (eval_quantified ctx q binds body)
-  | Flwor f -> eval_flwor ctx f
+  | Flwor f -> Context.run_flwor ctx f
   | Root -> begin
     match (Context.focus_exn ctx).Context.item with
     | Item.Node n -> [ Item.Node (Node.root n) ]
@@ -388,29 +358,9 @@ and eval_quantified ctx q binds body =
   | Ast.Every_quant -> go ctx binds
 
 and eval_slash ctx a b =
-  match index_fast_path ctx a b with
+  match fused_scan_path ctx (Ast.Slash (a, b)) with
   | Some result -> result
-  | None -> (
-    match fused_scan_path ctx (Ast.Slash (a, b)) with
-    | Some result -> result
-    | None -> eval_slash_scan ctx a b)
-
-(* Answer //name (i.e. /descendant-or-self::node()/child::name) from the
-   element-name index when one is registered for the context tree. *)
-and index_fast_path ctx a b =
-  match a, b, Context.name_index ctx with
-  | Ast.Slash (Ast.Root, Ast.Step (Ast.Descendant_or_self, Ast.Kind_node, [])),
-    Ast.Step (Ast.Child, Ast.Name_test nm, preds),
-    Some idx
-    when nm.Xname.prefix = None -> begin
-    match Context.focus ctx with
-    | Some { Context.item = Item.Node n; _ }
-      when Node.same (Node.root n) (Name_index.indexed_root idx) ->
-      let nodes = Name_index.find idx nm.Xname.local in
-      Some (apply_predicates ctx (Xseq.of_nodes nodes) preds)
-    | Some _ | None -> None
-  end
-  | _ -> None
+  | None -> eval_slash_scan ctx a b
 
 and eval_slash_scan ctx a b =
   let left = eval ctx a in
@@ -582,54 +532,7 @@ and fill_element ctx el content =
   flush_text ();
   Node.seal el
 
-(* --- FLWOR -------------------------------------------------------------- *)
-
-and eval_flwor ctx (f : Ast.flwor) =
-  let tuples = List.fold_left (eval_clause ctx) [ Smap.empty ] f.clauses in
-  let numbered =
-    match f.return_at with
-    | None -> List.map (fun t -> t) tuples
-    | Some v ->
-      List.mapi (fun i t -> Smap.add v (Xseq.of_int (i + 1)) t) tuples
-  in
-  Xseq.concat
-    (List.map (fun t -> eval (ctx_with_tuple ctx t) f.return_expr) numbered)
-
-and eval_clause ctx tuples (clause : Ast.clause) =
-  match clause with
-  | For bindings ->
-    List.fold_left
-      (fun tuples (fb : Ast.for_binding) ->
-        List.concat_map
-          (fun tuple ->
-            let items = eval (ctx_with_tuple ctx tuple) fb.for_src in
-            List.mapi
-              (fun i item ->
-                let tuple = Smap.add fb.for_var [ item ] tuple in
-                match fb.positional with
-                | Some p -> Smap.add p (Xseq.of_int (i + 1)) tuple
-                | None -> tuple)
-              items)
-          tuples)
-      tuples bindings
-  | Let bindings ->
-    List.map
-      (fun tuple ->
-        List.fold_left
-          (fun tuple (v, e) ->
-            Smap.add v (eval (ctx_with_tuple ctx tuple) e) tuple)
-          tuple bindings)
-      tuples
-  | Where e ->
-    List.filter
-      (fun tuple ->
-        Xseq.effective_boolean_value (eval (ctx_with_tuple ctx tuple) e))
-      tuples
-  | Order_by { specs; _ } -> sort_tuples ctx tuples specs
-  | Count v ->
-    List.mapi (fun i tuple -> Smap.add v (Xseq.of_int (i + 1)) tuple) tuples
-  | Window w -> List.concat_map (eval_window ctx w) tuples
-  | Group_by g -> eval_group_by ctx tuples g
+(* --- windows ------------------------------------------------------------ *)
 
 (* Expand one tuple into one tuple per window over the clause's source
    sequence (XQuery 3.0 tumbling/sliding semantics; boundary search in
@@ -686,122 +589,6 @@ and eval_window ctx (w : Ast.window_clause) tuple =
       | None -> tuple)
     bounds
 
-(* Sort tuples by the order specs (stable; the [stable] keyword therefore
-   holds in all cases, and is ignored for grouped FLWORs per 3.4.2). *)
-and sort_tuples ctx tuples specs =
-  let keyed =
-    List.map
-      (fun tuple ->
-        let tctx = ctx_with_tuple ctx tuple in
-        let keys =
-          List.map
-            (fun (e, modifier) ->
-              let k =
-                match Xseq.atomized_opt (eval tctx e) with
-                | Some a -> Some a
-                | None -> None
-              in
-              (k, modifier))
-            specs
-        in
-        (keys, tuple))
-      tuples
-  in
-  let compare_keys (ka, _) (kb, _) =
-    let rec go = function
-      | [] -> 0
-      | ((a, modifier), (b, _)) :: rest ->
-        let c = Compare.order_keys modifier a b in
-        if c <> 0 then c else go rest
-    in
-    go (List.combine ka kb)
-  in
-  List.map snd (List.stable_sort compare_keys keyed)
-
-and eval_group_by ctx tuples (g : Ast.group_clause) =
-  let keys_of tuple =
-    let tctx = ctx_with_tuple ctx tuple in
-    List.map (fun (k : Ast.group_key) -> eval tctx k.key_expr) g.keys
-  in
-  let parallel = Xq_par.Par.default_degree () in
-  let parallel_keys =
-    parallel > 1
-    && List.for_all
-         (fun (k : Ast.group_key) -> parallel_safe ctx k.key_expr)
-         g.keys
-  in
-  let any_using =
-    List.exists (fun (k : Ast.group_key) -> k.using <> None) g.keys
-  in
-  let groups =
-    if not any_using then
-      Group.group_hash ~spill:tuple_codec ~parallel ~parallel_keys ~keys_of
-        tuples
-    else begin
-      let comparators =
-        Array.of_list
-          (List.map
-             (fun (k : Ast.group_key) ->
-               match k.using with
-               | None ->
-                 fun (a : Key.single) (b : Key.single) -> Key.equal_single a b
-               | Some fname ->
-                 fun (a : Key.single) (b : Key.single) ->
-                   let a = a.Key.orig and b = b.Key.orig in
-                   let result =
-                     match Context.find_function ctx fname 2 with
-                     | Some f -> apply_user_function ctx f [ a; b ]
-                     | None ->
-                       if Fn_sigs.accepts fname 2 then
-                         Builtins.call ctx fname [ a; b ]
-                       else
-                         Xerror.failf XPST0017
-                           "unknown grouping equality function %s"
-                           (Xname.to_string fname)
-                   in
-                   Xseq.effective_boolean_value result)
-             g.keys)
-      in
-      Group.group_scan ~parallel ~parallel_keys ~keys_of
-        ~equal:(fun i a b -> comparators.(i) a b)
-        tuples
-    end
-  in
-  List.map
-    (fun (grp : tuple Group.group) ->
-      (* grouping variables: representative key values *)
-      let out =
-        List.fold_left2
-          (fun out (k : Ast.group_key) key_value ->
-            Smap.add k.key_var key_value out)
-          Smap.empty g.keys grp.Group.keys
-      in
-      (* nesting variables: concatenation over the group's tuples, in
-         input order or per the nest's own order-by (Section 3.4.1) *)
-      List.fold_left
-        (fun out (n : Ast.nest_spec) ->
-          let value =
-            match n.nest_expr, n.nest_order with
-            | Ast.Literal a, [] ->
-              (* count-optimized nests (nest 1 into $v): one literal per
-                 tuple, no per-tuple evaluation needed *)
-              List.map
-                (fun _ -> Item.Atomic a)
-                grp.Group.members
-            | _ ->
-              let members =
-                if n.nest_order = [] then grp.Group.members
-                else sort_tuples ctx grp.Group.members n.nest_order
-              in
-              Xseq.concat
-                (List.map
-                   (fun tuple -> eval (ctx_with_tuple ctx tuple) n.nest_expr)
-                   members)
-          in
-          Smap.add n.nest_var value out)
-        out g.nests)
-    groups
-
 (* Bridge for the algebra executor: window expansion over association-list
    tuples (the executor has its own tuple map type). *)
 let expand_window_bindings ctx w bindings =
@@ -809,42 +596,3 @@ let expand_window_bindings ctx w bindings =
     List.fold_left (fun m (v, value) -> Smap.add v value m) Smap.empty bindings
   in
   List.map Smap.bindings (eval_window ctx w tuple)
-
-(* --- query entry points -------------------------------------------------- *)
-
-let eval_query ?(check = true) ?(use_index = false) ?(documents = [])
-    ?(collections = []) ?default_collection ~context_node (q : Ast.query) =
-  if check then Static.check_query q;
-  let ctx = Context.of_prolog q.prolog in
-  let ctx =
-    if use_index then Context.set_name_index ctx (Name_index.build context_node)
-    else ctx
-  in
-  let ctx =
-    List.fold_left (fun ctx (uri, d) -> Context.add_document ctx ~uri d) ctx documents
-  in
-  let ctx =
-    List.fold_left
-      (fun ctx (name, nodes) -> Context.add_collection ctx ~name nodes)
-      ctx collections
-  in
-  let ctx =
-    match default_collection with
-    | Some nodes -> Context.set_default_collection ctx nodes
-    | None -> ctx
-  in
-  let focus =
-    { Context.item = Item.Node context_node; position = 1; size = 1 }
-  in
-  let ctx = Context.with_focus ctx focus in
-  let ctx =
-    List.fold_left
-      (fun ctx (v, e) -> Context.bind_global ctx v (eval ctx e))
-      ctx q.prolog.global_vars
-  in
-  eval ctx q.body
-
-let run ?use_index ?documents ?collections ?default_collection ~context_node
-    src =
-  eval_query ?use_index ?documents ?collections ?default_collection
-    ~context_node (Parser.parse_query src)

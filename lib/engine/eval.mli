@@ -1,11 +1,15 @@
-(** The tuple-stream evaluator: XQuery expressions plus the paper's
+(** The expression evaluator. FLWOR expressions — with the paper's
     extensions ([group by]/[nest]/[using], post-group [let]/[where],
-    [nest … order by], [return at]). *)
+    [nest … order by], [return at]) — are not evaluated here: the
+    [Flwor] case hands them to the runner installed in the context
+    ({!Context.run_flwor}), which is the plan executor's operator chain
+    wherever the FLWOR sits. *)
 
 open Xq_xdm
 open Xq_lang
 
-(** Evaluate an expression in a context. *)
+(** Evaluate an expression in a context. A FLWOR anywhere inside it runs
+    through the context's FLWOR runner. *)
 val eval : Context.t -> Ast.expr -> Xseq.t
 
 (** True when evaluating the expression concurrently on several domains
@@ -23,33 +27,3 @@ val expand_window_bindings :
   Ast.window_clause ->
   (string * Xseq.t) list ->
   (string * Xseq.t) list list
-
-(** Evaluate a full query against a context node (usually a document):
-    builds the context from the prolog, evaluates the global variables,
-    sets the focus to the context node and evaluates the body. Runs
-    {!Static.check_query} first unless [check] is [false].
-
-    [documents], [collections] and [default_collection] populate the
-    dynamic context's registry behind [fn:doc] and [fn:collection].
-    [use_index] builds a {!Name_index} over the context tree and lets the
-    evaluator answer [//name] from it (off by default: the paper's
-    experiments are index-free). *)
-val eval_query :
-  ?check:bool ->
-  ?use_index:bool ->
-  ?documents:(string * Node.t) list ->
-  ?collections:(string * Node.t list) list ->
-  ?default_collection:Node.t list ->
-  context_node:Node.t ->
-  Ast.query ->
-  Xseq.t
-
-(** Parse, check and evaluate a query string against a context node. *)
-val run :
-  ?use_index:bool ->
-  ?documents:(string * Node.t) list ->
-  ?collections:(string * Node.t list) list ->
-  ?default_collection:Node.t list ->
-  context_node:Node.t ->
-  string ->
-  Xseq.t

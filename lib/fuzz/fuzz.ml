@@ -3,12 +3,8 @@ open Xq_lang
 module Optimizer = Xq_algebra.Optimizer
 module Prng = Xq_workload.Prng
 
-type engine_kind =
-  | Direct
-  | Plan of Optimizer.group_strategy
-
 type config = {
-  kind : engine_kind;
+  strategy : Optimizer.group_strategy;
   parallel : int;
   spill : bool;
   stream : bool;
@@ -16,12 +12,7 @@ type config = {
 }
 
 let config_label c =
-  let kind =
-    match c.kind with
-    | Direct -> "direct"
-    | Plan s -> "plan:" ^ Optimizer.strategy_to_string s
-  in
-  kind
+  "plan:" ^ Optimizer.strategy_to_string c.strategy
   ^ (if c.parallel > 1 then Printf.sprintf "/par=%d" c.parallel else "")
   ^ (if c.spill then "/spill" else "")
   ^ (if c.stream then "/stream" else "")
@@ -29,25 +20,23 @@ let config_label c =
 
 let base_configs =
   [
-    { kind = Direct; parallel = 1; spill = false; stream = false;
+    { strategy = Optimizer.Hash; parallel = 1; spill = false; stream = false;
       nopush = false };
-    { kind = Plan Optimizer.Hash; parallel = 1; spill = false; stream = false;
+    { strategy = Optimizer.Sort; parallel = 1; spill = false; stream = false;
       nopush = false };
-    { kind = Plan Optimizer.Sort; parallel = 1; spill = false; stream = false;
+    { strategy = Optimizer.Auto; parallel = 1; spill = false; stream = false;
       nopush = false };
-    { kind = Plan Optimizer.Auto; parallel = 1; spill = false; stream = false;
+    { strategy = Optimizer.Hash; parallel = 1; spill = false; stream = true;
       nopush = false };
-    { kind = Plan Optimizer.Hash; parallel = 1; spill = false; stream = true;
-      nopush = false };
-    { kind = Plan Optimizer.Hash; parallel = 1; spill = true; stream = true;
+    { strategy = Optimizer.Hash; parallel = 1; spill = true; stream = true;
       nopush = false };
     (* the rewrite differential: the same plan with the eager-aggregation
        pushdown forced off — a pushdown bug shows up as this column
        disagreeing with its rewritten twin (both against the oracle),
        and shrinks like any other divergence *)
-    { kind = Plan Optimizer.Hash; parallel = 1; spill = false; stream = false;
+    { strategy = Optimizer.Hash; parallel = 1; spill = false; stream = false;
       nopush = true };
-    { kind = Plan Optimizer.Hash; parallel = 1; spill = true; stream = false;
+    { strategy = Optimizer.Hash; parallel = 1; spill = true; stream = false;
       nopush = true };
   ]
 
@@ -61,7 +50,7 @@ let sampled_configs ~seed =
   base_configs
   @ List.init 3 (fun _ ->
         {
-          kind = Plan (Prng.pick rng strategies);
+          strategy = Prng.pick rng strategies;
           parallel = (if Prng.one_in rng 2 then 2 else 4);
           spill = Prng.one_in rng 2;
           stream = Prng.one_in rng 2;
@@ -89,35 +78,30 @@ let oracle_outcome context_node query =
 let spill_governor () = Xq_governor.Governor.create ~spill_watermark_bytes:4096 ~max_mem_mb:512 ()
 
 let engine_outcome ?(inject_bug = false) ?doc config context_node query =
-  (* both engine paths go through the shared pipeline — the same
+  (* materialized runs go through the shared pipeline — the same
      dispatch the CLI, REPL and query server use — with the static
-     check hoisted (the historical entry points defaulted check:true) *)
+     check hoisted *)
   let compiled = Xq_pipeline.Pipeline.of_query query in
+  let strategy = config.strategy and parallel = config.parallel in
   let run () =
     Xq_lang.Static.check_query query;
-    match config.kind with
-    | Direct -> Xq_pipeline.Pipeline.eval ~doc:context_node compiled
-    | Plan strategy -> begin
-      match doc with
-      | Some src when config.stream -> begin
-        (* the streamed column runs the projection verdict exactly as the
-           CLI would: streamable plans pull the document through the
-           streaming scan, the rest degrade to the materialized executor.
-           A wrong Streamable verdict therefore shows up as an ordinary
-           divergence and shrinks like one. *)
-        match Xq_rewrite.Projection.analyze query with
-        | Xq_rewrite.Projection.Streamable { path; var; positional } ->
-          Xq_algebra.Exec.eval_query_stream ~check:false ~strategy
-            ~parallel:config.parallel ~source:(`String src) ~path ~var
-            ~positional query
-        | Xq_rewrite.Projection.Materialize _ ->
-          Xq_pipeline.Pipeline.eval ~strategy ~parallel:config.parallel
-            ~doc:context_node compiled
-      end
-      | _ ->
-        Xq_pipeline.Pipeline.eval ~strategy ~parallel:config.parallel
-          ~doc:context_node compiled
+    let materialized () =
+      Xq_pipeline.Pipeline.eval ~strategy ~parallel ~doc:context_node compiled
+    in
+    match doc with
+    | Some src when config.stream -> begin
+      (* the streamed column runs the projection verdict exactly as the
+         CLI would: streamable plans pull the document through the
+         streaming scan, the rest degrade to the materialized executor.
+         A wrong Streamable verdict therefore shows up as an ordinary
+         divergence and shrinks like one. *)
+      match Xq_rewrite.Projection.analyze query with
+      | Xq_rewrite.Projection.Streamable { path; var; positional } ->
+        Xq_algebra.Exec.eval_query_stream ~check:false ~strategy ~parallel
+          ~source:(`String src) ~path ~var ~positional query
+      | Xq_rewrite.Projection.Materialize _ -> materialized ()
     end
+    | _ -> materialized ()
   in
   let run () =
     if config.nopush then begin

@@ -2,8 +2,7 @@
     configurations, one oracle.
 
     Each case runs through the real engine under a sampled configuration
-    matrix — the direct evaluator plus the plan executor at strategy
-    hash/sort/auto, parallel degree 1/2/4, spill watermark armed or off,
+    matrix — the plan executor at strategy hash/sort/auto, parallel degree 1/2/4, spill watermark armed or off,
     document materialized or pulled through the streaming scan when the
     projection verdict allows (fault injection always cleared) — and
     every outcome is compared
@@ -16,18 +15,14 @@
 open Xq_xdm
 open Xq_lang
 
-type engine_kind =
-  | Direct  (** [Xq_engine.Eval] — the tuple-stream evaluator *)
-  | Plan of Xq_algebra.Optimizer.group_strategy  (** the plan executor *)
-
 type config = {
-  kind : engine_kind;
-  parallel : int;  (** domain-pool degree; only the plan executor reads it *)
+  strategy : Xq_algebra.Optimizer.group_strategy;
+      (** the plan executor's grouping operator *)
+  parallel : int;  (** domain-pool degree *)
   spill : bool;    (** arm a tiny spill watermark to force external grouping *)
   stream : bool;
       (** run the projection verdict and, when streamable, pull the
-          document through the streaming scan instead of materializing;
-          plan configurations only *)
+          document through the streaming scan instead of materializing *)
   nopush : bool;
       (** force the eager-aggregation pushdown off for this run — the
           rewritten-vs-unrewritten differential column. The process
@@ -38,7 +33,7 @@ type config = {
 (** e.g. ["plan:sort/par=4/spill/stream"] — stable, used in reports. *)
 val config_label : config -> string
 
-(** The always-run configurations: direct, each strategy at parallel 1
+(** The always-run configurations: each strategy at parallel 1
     without spilling, the streamed hash executor with and without the
     spill watermark armed, and the hash executor with the aggregation
     pushdown forced off (unspilled and spilled). *)

@@ -1,9 +1,4 @@
-(* The shared compile-and-run pipeline. See pipeline.mli.
-
-   Execution dispatch preserves the historical front-end paths exactly:
-   no strategy = the direct tuple-stream evaluator, an explicit
-   strategy = the plan algebra — so collapsing the CLI, REPL, fuzzer
-   and server onto this module changes no byte of any output. *)
+(* The shared compile-and-run pipeline. See pipeline.mli. *)
 
 module Governor = Xq_governor.Governor
 module Optimizer = Xq_algebra.Optimizer
@@ -13,7 +8,6 @@ type knobs = {
   k_parallel : int option;
   k_batch : int option;
   k_rewrite : bool;
-  k_use_index : bool;
   k_timeout_ms : int option;
   k_max_groups : int option;
   k_max_mem_mb : int option;
@@ -27,7 +21,6 @@ let default_knobs =
     k_parallel = None;
     k_batch = None;
     k_rewrite = false;
-    k_use_index = false;
     k_timeout_ms = None;
     k_max_groups = None;
     k_max_mem_mb = None;
@@ -64,12 +57,11 @@ let source c = c.c_source
 let cache_key ~knobs source =
   let strategy =
     match knobs.k_strategy with
-    | None -> "direct"
+    | None -> "default"
     | Some s -> Optimizer.strategy_to_string s
   in
   let env_strategy =
-    (* the environment default that [Exec] would consult if a caller
-       ever routed to the plan layer without an explicit strategy *)
+    (* the environment default [Exec] consults when no strategy is set *)
     match Sys.getenv_opt "XQ_GROUP_STRATEGY" with Some s -> s | None -> ""
   in
   let field s = Printf.sprintf "%d:%s" (String.length s) s in
@@ -77,19 +69,13 @@ let cache_key ~knobs source =
     [
       field strategy;
       field (if knobs.k_rewrite then "rw" else "");
-      field (if knobs.k_use_index then "ix" else "");
       field env_strategy;
       field source;
     ]
 
-let eval ?(use_index = false) ?strategy ?parallel ~doc c =
-  match strategy with
-  | Some s ->
-    Xq_algebra.Exec.eval_query ~check:false ~strategy:s ?parallel
-      ~context_node:doc c.c_query
-  | None ->
-    Xq_engine.Eval.eval_query ~check:false ~use_index ~context_node:doc
-      c.c_query
+let eval ?strategy ?parallel ~doc c =
+  Xq_algebra.Exec.eval_query ~check:false ?strategy ?parallel
+    ~context_node:doc c.c_query
 
 let render ?indent seq = Xq_xml.Serialize.sequence ?indent seq
 
@@ -265,8 +251,8 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
         else begin
           let t0 = Sys.time () in
           let result =
-            eval ~use_index:knobs.k_use_index ?strategy:knobs.k_strategy
-              ?parallel:knobs.k_parallel ~doc compiled
+            eval ?strategy:knobs.k_strategy ?parallel:knobs.k_parallel ~doc
+              compiled
           in
           let elapsed = (Sys.time () -. t0) *. 1000.0 in
           (* serialize fully before anything is written, so a trip

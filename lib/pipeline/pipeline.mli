@@ -3,8 +3,8 @@
     The CLI, the REPL, the differential fuzzer and the query server all
     execute queries through this module, so they share one code path
     byte for byte: parse → static check → optional implicit-group-by
-    rewrite ({!compile}), then direct-evaluator or plan-algebra
-    execution ({!eval}), then full serialization before anything is
+    rewrite ({!compile}), then execution on the plan executor ({!eval}),
+    then full serialization before anything is
     written ({!render} — a trip mid-query can never leave partial
     output). {!run} wraps the whole thing in a governor built from
     {!knobs} (merged with the [XQ_*] environment), installed either
@@ -19,10 +19,9 @@
 
 open Xq_xdm
 
-(** Everything that selects a pipeline variant. [None] strategy is the
-    direct tuple-stream evaluator (the CLI default); [Some _] routes
-    through the plan algebra. Limits merge with the environment via
-    [Governor.of_limits]. *)
+(** Everything that selects a pipeline variant. A [None] strategy takes
+    the [XQ_GROUP_STRATEGY] default, else hash. Limits merge with the
+    environment via [Governor.of_limits]. *)
 type knobs = {
   k_strategy : Xq_algebra.Optimizer.group_strategy option;
   k_parallel : int option;  (** domain-pool degree *)
@@ -30,7 +29,6 @@ type knobs = {
       (** executor batch size ([1] = item-at-a-time; default
           [XQ_BATCH] or 4096). Output is byte-identical at any size. *)
   k_rewrite : bool;  (** implicit-group-by rewrite before evaluation *)
-  k_use_index : bool;  (** element-name index (direct evaluator only) *)
   k_timeout_ms : int option;
   k_max_groups : int option;
   k_max_mem_mb : int option;
@@ -43,7 +41,8 @@ type knobs = {
           [XQ_NO_STREAM=1] environment kill switch beats all three. *)
 }
 
-(** No strategy (direct evaluator), no explicit limits, no rewrite. *)
+(** No strategy (the environment default), no explicit limits, no
+    rewrite. *)
 val default_knobs : knobs
 
 (** A parsed, statically checked, optionally rewritten query — the
@@ -62,18 +61,16 @@ val query : compiled -> Xq_lang.Ast.query
 val source : compiled -> string
 
 (** The plan-cache key for [source] under [knobs]: query text ×
-    strategy × the compile-relevant knobs (rewrite, index) × the
+    strategy × the compile-relevant knob (rewrite) × the
     [XQ_GROUP_STRATEGY] environment default — so a cached artifact is
     never reused under knobs that could compile or execute it
     differently. Injective per component (length-prefixed fields). *)
 val cache_key : knobs:knobs -> string -> string
 
-(** Execute a compiled query against a context document — the
-    historical engine paths, unchanged: [strategy = None] is
-    [Eval.eval_query] (direct), [Some s] is [Exec.eval_query] through
-    the plan algebra. No governor management here. *)
+(** Execute a compiled query against a context document through
+    [Exec.eval_query]: every FLWOR, nested ones included, runs on the
+    plan executor's operator chain. No governor management here. *)
 val eval :
-  ?use_index:bool ->
   ?strategy:Xq_algebra.Optimizer.group_strategy ->
   ?parallel:int ->
   doc:Node.t ->

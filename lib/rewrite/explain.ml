@@ -140,10 +140,7 @@ and explain_flwor buf depth f =
         List.iter
           (fun n ->
             let note =
-              match n.nest_expr, n.nest_order with
-              | Literal _, [] -> "  -- count-optimized (no per-tuple eval)"
-              | _, [] -> ""
-              | _, _ -> "  -- sorted within groups"
+              if n.nest_order = [] then "" else "  -- sorted within groups"
             in
             add buf (d + 1)
               (Printf.sprintf "NEST %s -> $%s%s" (short n.nest_expr) n.nest_var
@@ -243,37 +240,23 @@ let analyzed ?(timings = true) (plan : Plan.plan) (stats : Exec.Stats.t) =
     go 1 plan.Plan.pipeline outer_first;
     Buffer.contents buf
 
-let analyze_query ?(timings = true) ?(optimize = false) ?strategy ?parallel
+let analyze_query ?(timings = true) ?optimize ?strategy ?parallel
     ~context_node (q : Ast.query) =
-  let strategy =
-    match strategy with
-    | Some s -> s
-    | None -> Optimizer.strategy_from_env ()
-  in
-  let ctx = Exec.query_context ~context_node q in
   let buf = Buffer.create 256 in
   let total = ref 0 in
-  let rec go (e : Ast.expr) =
-    match e with
-    | Flwor f ->
-      let plan = Plan.of_flwor f in
-      let plan = Optimizer.apply_strategy strategy plan in
-      let plan = Optimizer.push_aggregates plan in
-      let plan = if optimize then Optimizer.optimize plan else plan in
-      let result, stats = Exec.run_instrumented ?parallel ctx plan in
-      total := !total + List.length result;
-      (* pushdown annotation before the plan it reshaped, only when it
-         applied — the untouched golden corpus stays byte-stable *)
-      let n = Optimizer.agg_pushdown_count plan in
-      if n > 0 then add buf 0 (Printf.sprintf "rewrite: agg-pushdown=%d" n);
-      Buffer.add_string buf (analyzed ~timings plan stats)
-    | Sequence es -> List.iter go es
-    | other ->
-      let result = Xq_engine.Eval.eval ctx other in
-      total := !total + List.length result;
-      add buf 0 "(non-FLWOR expression: evaluated directly)"
-  in
-  go q.body;
+  List.iter
+    (function
+      | Exec.Analyzed_plan (plan, result, stats) ->
+        total := !total + List.length result;
+        (* pushdown annotation before the plan it reshaped, only when it
+           applied — the untouched golden corpus stays byte-stable *)
+        let n = Optimizer.agg_pushdown_count plan in
+        if n > 0 then add buf 0 (Printf.sprintf "rewrite: agg-pushdown=%d" n);
+        Buffer.add_string buf (analyzed ~timings plan stats)
+      | Exec.Analyzed_expr result ->
+        total := !total + List.length result;
+        add buf 0 "(non-FLWOR expression: evaluated directly)")
+    (Exec.analyze_query ?optimize ?strategy ?parallel ~context_node q);
   add buf 0 (Printf.sprintf "result: %d item(s)" !total);
   (* governor trip counts and peak budgets, only when one is installed —
      ungoverned runs (and the golden explain corpus) are unchanged *)

@@ -1,9 +1,9 @@
 (** Textual evaluation-plan explanations.
 
-    Describes how the tuple-stream evaluator will execute a query: the
-    clause pipeline of every FLWOR, which grouping strategy applies (one
-    hash pass for default deep-equal keys, a comparator scan when any key
-    has [using]), count-optimized nests, sorts — and flags FLWORs that
+    Describes how a query's FLWORs execute: the clause pipeline of every
+    FLWOR, which grouping strategy applies (one hash pass for default
+    deep-equal keys, a comparator scan when any key has [using]), nests,
+    sorts — and flags FLWORs that
     match the implicit-grouping idiom {!Rewrite.detect} could rewrite. *)
 
 open Xq_lang

@@ -463,251 +463,3 @@ let count_rewrites e =
     walk e;
     !count
   end
-
-(* --- count optimization (Section 3.1 / Q6 discussion) ------------------- *)
-
-let is_count name = Xname.is_default_fn name && name.Xname.local = "count"
-
-(* Every occurrence of $v in [e] is as the sole argument of fn:count.
-   Shadowing is not tracked: a rebinding makes inner occurrences refer to
-   a different variable, so real uses of the nest variable are a subset
-   of the occurrences found here — the check stays sound. *)
-let rec only_counted v e =
-  let all = List.for_all (only_counted v) in
-  match e with
-  | Call (name, [ Var x ]) when x = v && is_count name -> true
-  | Var x -> x <> v
-  | Literal _ | Context_item | Root -> true
-  | Sequence es -> all es
-  | Range (a, b) | Arith (_, a, b) | General_cmp (_, a, b)
-  | Value_cmp (_, a, b) | Node_cmp (_, a, b) | And (a, b) | Or (a, b)
-  | Union (a, b) | Intersect (a, b) | Except (a, b) | Slash (a, b)
-  | Comp_elem (a, b) | Comp_attr (a, b) ->
-    only_counted v a && only_counted v b
-  | Neg a | Comp_text a
-  | Instance_of (a, _) | Treat_as (a, _) | Castable_as (a, _)
-  | Cast_as (a, _) ->
-    only_counted v a
-  | If (a, b, c) -> only_counted v a && only_counted v b && only_counted v c
-  | Quantified (_, binds, body) ->
-    List.for_all (fun (_, e) -> only_counted v e) binds && only_counted v body
-  | Step (_, _, preds) -> all preds
-  | Filter (e, preds) -> only_counted v e && all preds
-  | Call (_, args) -> all args
-  | Flwor f ->
-    List.for_all
-      (fun c ->
-        match c with
-        | For bs -> List.for_all (fun b -> only_counted v b.for_src) bs
-        | Let bs -> List.for_all (fun (_, e) -> only_counted v e) bs
-        | Where e -> only_counted v e
-        | Count _ -> true
-        | Window w ->
-          only_counted v w.w_src
-          && only_counted v w.w_start.wc_when
-          && (match w.w_end with
-              | Some { we_cond; _ } -> only_counted v we_cond.wc_when
-              | None -> true)
-        | Order_by { specs; _ } ->
-          List.for_all (fun (e, _) -> only_counted v e) specs
-        | Group_by g ->
-          List.for_all (fun k -> only_counted v k.key_expr) g.keys
-          && List.for_all
-               (fun n ->
-                 only_counted v n.nest_expr
-                 && List.for_all (fun (e, _) -> only_counted v e) n.nest_order)
-               g.nests)
-      f.clauses
-    && only_counted v f.return_expr
-  | Direct_elem d -> only_counted_direct v d
-
-and only_counted_direct v d =
-  List.for_all
-    (fun a ->
-      List.for_all
-        (function Attr_text _ -> true | Attr_expr e -> only_counted v e)
-        a.attr_value)
-    d.attrs
-  && List.for_all
-       (function
-         | Content_text _ | Content_comment _ -> true
-         | Content_expr e -> only_counted v e
-         | Content_elem child -> only_counted_direct v child)
-       d.content
-
-(* Variables bound by for clauses before the group by — these are bound
-   to exactly one item per tuple, so counting them counts tuples. *)
-let pre_group_for_vars clauses =
-  let rec go acc = function
-    | For bs :: rest -> go (List.map (fun b -> b.for_var) bs @ acc) rest
-    | Group_by _ :: _ | [] -> acc
-    | (Let _ | Where _ | Count _ | Order_by _ | Window _) :: rest -> go acc rest
-  in
-  go [] clauses
-
-let optimize_flwor_counts f =
-  let for_vars = pre_group_for_vars f.clauses in
-  (* expressions evaluated after the group by, where the nest variable
-     is visible *)
-  let post_group_exprs =
-    let rec after = function
-      | Group_by _ :: rest -> rest
-      | _ :: rest -> after rest
-      | [] -> []
-    in
-    List.concat_map
-      (fun c ->
-        match c with
-        | Let bs -> List.map snd bs
-        | Where e -> [ e ]
-        | Order_by { specs; _ } -> List.map fst specs
-        | For bs -> List.map (fun b -> b.for_src) bs
-        | Count _ -> []
-        | Window w ->
-          w.w_src :: w.w_start.wc_when
-          :: (match w.w_end with
-              | Some { we_cond; _ } -> [ we_cond.wc_when ]
-              | None -> [])
-        | Group_by _ -> [])
-      (after f.clauses)
-    @ [ f.return_expr ]
-  in
-  let optimize_nest (n : nest_spec) =
-    let safe =
-      n.nest_order = []
-      && (match n.nest_expr with
-          | Var w -> List.mem w for_vars
-          | _ -> false)
-      && List.for_all (only_counted n.nest_var) post_group_exprs
-    in
-    if safe then { n with nest_expr = Literal (Xq_xdm.Atomic.Int 1) } else n
-  in
-  {
-    f with
-    clauses =
-      List.map
-        (fun c ->
-          match c with
-          | Group_by g -> Group_by { g with nests = List.map optimize_nest g.nests }
-          | For _ | Let _ | Where _ | Count _ | Order_by _ | Window _ -> c)
-        f.clauses;
-  }
-
-let rec optimize_counts e =
-  let r = optimize_counts in
-  match e with
-  | Literal _ | Var _ | Context_item | Root -> e
-  | Sequence es -> Sequence (List.map r es)
-  | Range (a, b) -> Range (r a, r b)
-  | Arith (op, a, b) -> Arith (op, r a, r b)
-  | Neg a -> Neg (r a)
-  | General_cmp (op, a, b) -> General_cmp (op, r a, r b)
-  | Value_cmp (op, a, b) -> Value_cmp (op, r a, r b)
-  | Node_cmp (op, a, b) -> Node_cmp (op, r a, r b)
-  | And (a, b) -> And (r a, r b)
-  | Or (a, b) -> Or (r a, r b)
-  | Union (a, b) -> Union (r a, r b)
-  | Intersect (a, b) -> Intersect (r a, r b)
-  | Except (a, b) -> Except (r a, r b)
-  | Instance_of (a, t) -> Instance_of (r a, t)
-  | Treat_as (a, t) -> Treat_as (r a, t)
-  | Castable_as (a, t) -> Castable_as (r a, t)
-  | Cast_as (a, t) -> Cast_as (r a, t)
-  | If (a, b, c) -> If (r a, r b, r c)
-  | Quantified (q, binds, body) ->
-    Quantified (q, List.map (fun (v, e) -> (v, r e)) binds, r body)
-  | Step (axis, test, preds) -> Step (axis, test, List.map r preds)
-  | Slash (a, b) -> Slash (r a, r b)
-  | Filter (e, preds) -> Filter (r e, List.map r preds)
-  | Call (name, args) -> Call (name, List.map r args)
-  | Comp_elem (a, b) -> Comp_elem (r a, r b)
-  | Comp_attr (a, b) -> Comp_attr (r a, r b)
-  | Comp_text a -> Comp_text (r a)
-  | Direct_elem d -> Direct_elem (rewrite_direct_with r d)
-  | Flwor f ->
-    let f = map_flwor_exprs r f in
-    Flwor (optimize_flwor_counts f)
-
-and rewrite_direct_with r d =
-  {
-    d with
-    attrs =
-      List.map
-        (fun a ->
-          {
-            a with
-            attr_value =
-              List.map
-                (function
-                  | Attr_text _ as t -> t
-                  | Attr_expr e -> Attr_expr (r e))
-                a.attr_value;
-          })
-        d.attrs;
-    content =
-      List.map
-        (function
-          | (Content_text _ | Content_comment _) as c -> c
-          | Content_expr e -> Content_expr (r e)
-          | Content_elem child -> Content_elem (rewrite_direct_with r child))
-        d.content;
-  }
-
-and map_flwor_exprs r f =
-  {
-    f with
-    clauses =
-      List.map
-        (fun c ->
-          match c with
-          | For bs -> For (List.map (fun b -> { b with for_src = r b.for_src }) bs)
-          | Let bs -> Let (List.map (fun (v, e) -> (v, r e)) bs)
-          | Where e -> Where (r e)
-          | Count _ as c -> c
-          | Window w ->
-            Window
-              {
-                w with
-                w_src = r w.w_src;
-                w_start = { w.w_start with wc_when = r w.w_start.wc_when };
-                w_end =
-                  Option.map
-                    (fun we ->
-                      { we with
-                        we_cond = { we.we_cond with wc_when = r we.we_cond.wc_when } })
-                    w.w_end;
-              }
-          | Order_by { stable; specs } ->
-            Order_by { stable; specs = List.map (fun (e, m) -> (r e, m)) specs }
-          | Group_by g ->
-            Group_by
-              {
-                keys = List.map (fun k -> { k with key_expr = r k.key_expr }) g.keys;
-                nests =
-                  List.map
-                    (fun n ->
-                      {
-                        n with
-                        nest_expr = r n.nest_expr;
-                        nest_order = List.map (fun (e, m) -> (r e, m)) n.nest_order;
-                      })
-                    g.nests;
-              })
-        f.clauses;
-    return_expr = r f.return_expr;
-  }
-
-let optimize_counts_query q =
-  {
-    prolog =
-      {
-        ordering = q.prolog.ordering;
-        functions =
-          List.map
-            (fun (f : fun_def) -> { f with body = optimize_counts f.body })
-            q.prolog.functions;
-        global_vars =
-          List.map (fun (v, e) -> (v, optimize_counts e)) q.prolog.global_vars;
-      };
-    body = optimize_counts q.body;
-  }

@@ -50,20 +50,3 @@ val rewrite_query : Ast.query -> Ast.query
 (** Number of FLWORs [rewrite_expr] would change — used by tests and the
     CLI's [--explain]. *)
 val count_rewrites : Ast.expr -> int
-
-(** {1 Count optimization (paper Section 3.1, Q6 discussion)}
-
-    "Aggregating and counting books could be replaced by aggregating and
-    counting a literal such as 1 (either explicitly by the user or by an
-    optimizer)." — applied when it is provably safe without schema
-    knowledge: the nesting expression is a variable bound by a [for]
-    clause of the same FLWOR (hence exactly one item per tuple) and the
-    nesting variable is used only as the sole argument of [fn:count]
-    after the grouping. The engine then materializes the count without
-    evaluating the nesting expression per tuple. *)
-
-(** Rewrite every safely-optimizable nest in an expression. *)
-val optimize_counts : Ast.expr -> Ast.expr
-
-(** Apply {!optimize_counts} to a query's body and function bodies. *)
-val optimize_counts_query : Ast.query -> Ast.query

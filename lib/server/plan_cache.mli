@@ -1,7 +1,7 @@
 (** LRU cache of compiled query plans for the query server.
 
     Entries are keyed on {!Xq_pipeline.Pipeline.cache_key} — query text
-    × strategy × rewrite/index flags × the [XQ_GROUP_STRATEGY]
+    × strategy × rewrite flag × the [XQ_GROUP_STRATEGY]
     environment default — so two requests share a plan exactly when
     they would compile to the same thing. Capacity is a bounded entry
     count with least-recently-used eviction; resident bytes (an

@@ -135,8 +135,6 @@ let read_command ?(max_field_bytes = max_int) ic =
         continue source doc { knobs with Pipeline.k_stream = Some true } indent
       | "NO-STREAM" ->
         continue source doc { knobs with Pipeline.k_stream = Some false } indent
-      | "INDEX" ->
-        continue source doc { knobs with Pipeline.k_use_index = true } indent
       | "INDENT" -> continue source doc knobs true
       | "" -> continue source doc knobs indent  (* blank lines are noise *)
       | other -> proto_fail "unknown header %S" other
@@ -181,7 +179,6 @@ let write_command oc cmd =
       | Some true -> output_string oc "STREAM\n"
       | Some false -> output_string oc "NO-STREAM\n"
       | None -> ());
-     if k.Pipeline.k_use_index then output_string oc "INDEX\n";
      if rq.rq_indent then output_string oc "INDENT\n";
      output_string oc "RUN\n");
   flush oc

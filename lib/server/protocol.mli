@@ -10,7 +10,7 @@
     STRATEGY hash|sort|auto\n
     PARALLEL <k>\n    TIMEOUT <ms>\n    MAX-GROUPS <n>\n
     MAX-MEM <mb>\n    SPILL-AT <mb>\n
-    REWRITE\n    INDEX\n    INDENT\n
+    REWRITE\n    INDENT\n
     RUN\n
     v}
 

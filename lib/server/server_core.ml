@@ -149,7 +149,6 @@ let merge_knobs ~base ~req =
       k_parallel = opt req.k_parallel base.k_parallel;
       k_batch = opt req.k_batch base.k_batch;
       k_rewrite = req.k_rewrite || base.k_rewrite;
-      k_use_index = req.k_use_index || base.k_use_index;
       k_timeout_ms = opt req.k_timeout_ms base.k_timeout_ms;
       k_max_groups = opt req.k_max_groups base.k_max_groups;
       k_max_mem_mb = opt req.k_max_mem_mb base.k_max_mem_mb;

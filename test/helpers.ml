@@ -6,16 +6,34 @@ open Xq_xdm
    result (compact form). *)
 let run_xml ~data query =
   let doc = Xq_xml.Xml_parse.parse data in
-  Xq_xml.Serialize.sequence (Xq_engine.Eval.run ~context_node:doc query)
+  Xq_xml.Serialize.sequence (Xq_algebra.Exec.run_string ~context_node:doc query)
 
 (* Run against an already-built document node. *)
 let run_on doc query =
-  Xq_xml.Serialize.sequence (Xq_engine.Eval.run ~context_node:doc query)
+  Xq_xml.Serialize.sequence (Xq_algebra.Exec.run_string ~context_node:doc query)
 
 (* Run and return the raw sequence. *)
 let run_seq ~data query =
   let doc = Xq_xml.Xml_parse.parse data in
-  Xq_engine.Eval.run ~context_node:doc query
+  Xq_algebra.Exec.run_string ~context_node:doc query
+
+(* The reference result a differential compares against: the naive
+   oracle where its subset covers the query, else the sequential hash
+   plan. *)
+let reference_run ~context_node query =
+  match Xq_refimpl.Refimpl.run ~context_node query with
+  | result -> result
+  | exception Xq_refimpl.Refimpl.Unsupported _ ->
+    Xq_algebra.Exec.run_string ~strategy:Xq_algebra.Optimizer.Hash ~parallel:1
+      ~context_node query
+
+(* Run the body under a given aggregate-pushdown setting, restoring
+   whatever the process had (the suites must behave under
+   XQ_NO_AGG_PUSHDOWN=1 too — CI runs them both ways). *)
+let with_pushdown enabled f =
+  let saved = Xq_algebra.Optimizer.agg_pushdown_on () in
+  Xq_algebra.Optimizer.set_agg_pushdown enabled;
+  Fun.protect ~finally:(fun () -> Xq_algebra.Optimizer.set_agg_pushdown saved) f
 
 let check_query ~data query expected name =
   Alcotest.(check string) name expected (run_xml ~data query)

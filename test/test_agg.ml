@@ -27,14 +27,6 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(* Run the body under a given pushdown setting, restoring whatever the
-   process had (the suite must behave under XQ_NO_AGG_PUSHDOWN=1 too —
-   CI runs it both ways). *)
-let with_pushdown enabled f =
-  let saved = Optimizer.agg_pushdown_on () in
-  Optimizer.set_agg_pushdown enabled;
-  Fun.protect ~finally:(fun () -> Optimizer.set_agg_pushdown saved) f
-
 let all_kinds = Acc.[ Count; Sum; Avg; Min; Max ]
 
 (* --- accumulator vs builtin reference ------------------------------------- *)
@@ -112,10 +104,14 @@ let acc_props =
       arb_members
       (fun members ->
         let acc = acc_of members in
-        List.for_all
-          (fun kind ->
-            same_outcome (Acc.finish acc kind) (reference kind members))
-          all_kinds);
+        (* the count-only step a [count]-only slot folds with *)
+        let counted = Acc.create () in
+        List.iter (Acc.step_count counted) members;
+        same_outcome (Acc.finish counted Acc.Count) (reference Acc.Count members)
+        && List.for_all
+             (fun kind ->
+               same_outcome (Acc.finish acc kind) (reference kind members))
+             all_kinds);
     QCheck.Test.make ~count:400
       ~name:"error messages match the builtins' too" arb_members
       (fun members ->
@@ -265,10 +261,10 @@ let differential_tests =
         for seed = 1 to diff_seeds do
           let rng = Prng.create (0xa66 + seed) in
           let doc = random_doc rng in
-          (* the engine evaluator: never sees the plan layer or the
+          (* the reference evaluator: never sees the plan layer or the
              rewrite — the ground truth for both settings *)
           let expected =
-            serialize (Xq_engine.Eval.run ~context_node:doc agg_query)
+            serialize (reference_run ~context_node:doc agg_query)
           in
           List.iter
             (fun (slabel, strategy) ->

@@ -135,7 +135,7 @@ let equivalence_tests =
           let doc = Xq_xml.Xml_parse.parse data in
           let direct =
             Xq_xml.Serialize.sequence
-              (Xq_engine.Eval.run ~context_node:doc query)
+              (reference_run ~context_node:doc query)
           in
           let algebra =
             Xq_xml.Serialize.sequence
@@ -166,7 +166,7 @@ let property_tests =
              "for $i in //i group by $i/k into $k nest $i/v into $vs count \
               $c order by number($k) return <g>{$c, $k, sum($vs)}</g>"
            in
-           Xq_xml.Serialize.sequence (Xq_engine.Eval.run ~context_node:doc q)
+           Xq_xml.Serialize.sequence (reference_run ~context_node:doc q)
            = Xq_xml.Serialize.sequence
                (Xq_algebra.Exec.run_string ~context_node:doc q)));
   ]

@@ -1,6 +1,6 @@
 (* Shrunk-regression corpus replay: every test/corpus/NAME.xq runs
-   against its paired NAME.xml through the oracle, the direct evaluator
-   and all three plan strategies, and each must serialize exactly to
+   against its paired NAME.xml through the oracle and all three plan
+   strategies, and each must serialize exactly to
    NAME.expected. Entries are minimal fuzzer finds plus hand-written
    paper idioms; re-bless after an intended output change with
 
@@ -35,7 +35,6 @@ let entries =
 
 let evaluators =
   ("oracle", fun ~context_node q -> Refimpl.eval_query ~context_node q)
-  :: ("direct", fun ~context_node q -> Xq_engine.Eval.eval_query ~context_node q)
   :: List.map
        (fun s ->
          ( "plan:" ^ Optimizer.strategy_to_string s,

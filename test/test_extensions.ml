@@ -1,7 +1,7 @@
 (* Tests for the features beyond the paper's core proposal:
    fn:doc / fn:collection, the count clause (XQuery 3.0 lineage), the
-   count optimization (paper Section 3.1's "count a literal 1"), and the
-   plan explainer. *)
+   count optimization (paper Section 3.1's "count a literal 1", done by
+   the aggregate pushdown), and the plan explainer. *)
 
 open Xq_lang
 open Helpers
@@ -16,8 +16,8 @@ let doc_of s = Xq_xml.Xml_parse.parse s
 let run_with ?documents ?collections ?default_collection q =
   let empty = doc_of "<empty/>" in
   Xq_xml.Serialize.sequence
-    (Xq_engine.Eval.run ?documents ?collections ?default_collection
-       ~context_node:empty q)
+    (Xq_algebra.Exec.eval_query ?documents ?collections ?default_collection
+       ~context_node:empty (Parser.parse_query q))
 
 let doc_tests =
   [
@@ -99,12 +99,12 @@ let opt_query =
    string($a) return <r>{string($a), count($items)}</r>"
 
 let unsafe_query =
-  (* $items also serialized — not only counted — must NOT be optimized *)
+  (* $items also serialized — not only counted — must NOT be folded *)
   "for $l in //lineitem group by $l/a into $a nest $l into $items order by \
    string($a) return <r>{count($items)}{$items}</r>"
 
 let multi_valued_query =
-  (* nest expr is a path, possibly ≠1 per tuple — must NOT be optimized *)
+  (* nest expr is a path, possibly ≠1 per tuple: count counts values *)
   "for $l in //lineitem group by $l/a into $a nest $l/b into $bs order by \
    string($a) return <r>{count($bs)}</r>"
 
@@ -112,43 +112,37 @@ let litedata =
   "<o><lineitem><a>X</a><b>1</b><b>2</b></lineitem>\
    <lineitem><a>X</a></lineitem><lineitem><a>Y</a><b>3</b></lineitem></o>"
 
-let optimized body =
-  match Xq_rewrite.Rewrite.optimize_counts (Parser.parse_expr body) with
+(* Section 3.1's "count a literal 1" is the plan's aggregate pushdown: a
+   nest variable only fn:count reads folds into a per-group counter
+   instead of materializing its members. [pushed] is the number of
+   aggregate kinds folded into the FLWOR's grouping operator. *)
+let pushed body =
+  match Parser.parse_expr body with
   | Ast.Flwor f ->
-    List.exists
-      (function
-        | Ast.Group_by g ->
-          List.exists
-            (fun (n : Ast.nest_spec) ->
-              match n.Ast.nest_expr with
-              | Ast.Literal _ -> true
-              | _ -> false)
-            g.Ast.nests
-        | _ -> false)
-      f.Ast.clauses
-  | _ -> false
+    with_pushdown true (fun () ->
+        Xq_algebra.Optimizer.agg_pushdown_count
+          (Xq_algebra.Exec.plan_flwor ~strategy:Xq_algebra.Optimizer.Hash f))
+  | _ -> 0
+
+let run_pushed enabled q = with_pushdown enabled (fun () -> run_xml ~data:litedata q)
 
 let count_opt_tests =
   [
-    test "safe nest-of-for-variable is optimized to a literal" (fun () ->
-        check_bool "optimized" true (optimized opt_query));
+    test "safe nest-of-for-variable count is folded by the pushdown" (fun () ->
+        Alcotest.(check int) "folded" 1 (pushed opt_query));
     test "nest used beyond count() is left alone" (fun () ->
-        check_bool "not optimized" false (optimized unsafe_query));
-    test "multi-valued nest expression is left alone" (fun () ->
-        check_bool "not optimized" false (optimized multi_valued_query));
+        Alcotest.(check int) "not folded" 0 (pushed unsafe_query));
+    test "multi-valued nest expression is folded as a value count" (fun () ->
+        Alcotest.(check int) "folded" 1 (pushed multi_valued_query);
+        check_string "value counts" "<r>2</r><r>1</r>"
+          (run_pushed true multi_valued_query));
     test "optimization preserves results" (fun () ->
-        let doc = Xq_xml.Xml_parse.parse litedata in
-        let q = Parser.parse_query opt_query in
-        let plain = Xq_xml.Serialize.sequence (Xq.run_query doc q) in
-        let opt =
-          Xq_xml.Serialize.sequence
-            (Xq.run_query doc (Xq_rewrite.Rewrite.optimize_counts_query q))
-        in
+        let plain = run_pushed false opt_query in
+        let opt = run_pushed true opt_query in
         check_string "same" plain opt;
         check_string "values" "<r>X 2</r><r>Y 1</r>" opt);
     test "counting a multi-valued nest counts values, not tuples" (fun () ->
-        (* the reason the optimizer must not touch it: X has 2 b's from
-           one lineitem, 0 from the other *)
+        (* X has 2 b's from one lineitem, 0 from the other *)
         check_query ~data:litedata multi_valued_query
           "<r>2</r><r>1</r>" "value counts");
   ]
@@ -176,12 +170,13 @@ let explain_tests =
         in
         let plan = Xq_rewrite.Explain.query (Parser.parse_query q) in
         check_bool "scan" true (contains plan "SCAN GROUP"));
-    test "count-optimized nests are flagged" (fun () ->
-        let q =
-          Xq_rewrite.Rewrite.optimize_counts (Parser.parse_expr opt_query)
+    test "count-optimized nests are flagged by EXPLAIN ANALYZE" (fun () ->
+        let out =
+          with_pushdown true (fun () ->
+              Xq_rewrite.Explain.analyze_query ~timings:false
+                ~context_node:(doc_of litedata) (Parser.parse_query opt_query))
         in
-        let plan = Xq_rewrite.Explain.expr q in
-        check_bool "flagged" true (contains plan "count-optimized"));
+        check_bool "flagged" true (contains out "agg-pushdown=1"));
     test "implicit idiom is flagged for rewrite" (fun () ->
         let q =
           "for $a in distinct-values(//l/a) let $items := //l[a = $a] return \
@@ -194,56 +189,10 @@ let explain_tests =
           (contains (Xq_rewrite.Explain.expr (Parser.parse_expr "1 + 2")) "no FLWOR"));
   ]
 
-(* --- the element-name index --------------------------------------------------- *)
-
-let index_tests =
-  [
-    test "indexed //name equals the scan" (fun () ->
-        let doc = doc_of bib in
-        List.iter
-          (fun q ->
-            check_string q
-              (Xq.to_xml (Xq.run doc q))
-              (Xq.to_xml (Xq.run ~use_index:true doc q)))
-          [ "count(//book)";
-            "//book[price > 50]/title";
-            "for $b in //book group by $b/year into $y order by $y return string($y)";
-            "sum(//book/price)";
-            "count(//nothing)" ]);
-    test "index applies under longer paths" (fun () ->
-        let doc = doc_of "<r><o><l><a>1</a></l></o><o><l><a>2</a></l></o></r>" in
-        check_string "path" "2"
-          (Xq.to_xml (Xq.run ~use_index:true doc "count(//o/l/a)")));
-    test "predicates still apply on indexed steps" (fun () ->
-        let doc = doc_of "<r><v>1</v><v>2</v><v>3</v></r>" in
-        check_string "pred" "2"
-          (Xq.to_xml (Xq.run ~use_index:true doc "string(//v[2])")));
-    test "index is not consulted for foreign trees" (fun () ->
-        (* //x inside a doc() call has a non-Root start, so it scans *)
-        let main = doc_of "<main/>" in
-        let other = doc_of "<o><x>7</x></o>" in
-        check_string "foreign" "7"
-          (Xq.to_xml
-             (Xq.run ~use_index:true ~documents:[ ("o.xml", other) ] main
-                "string(doc(\"o.xml\")//x)")));
-    test "Name_index.build shape" (fun () ->
-        let doc = doc_of "<r><a/><b><a/></b></r>" in
-        let idx = Xq_engine.Name_index.build doc in
-        Alcotest.(check int) "two a's" 2
-          (List.length (Xq_engine.Name_index.find idx "a"));
-        Alcotest.(check int) "names" 3 (Xq_engine.Name_index.size idx);
-        check_bool "doc order" true
-          (let ids =
-             List.map Xq_xdm.Node.id (Xq_engine.Name_index.find idx "a")
-           in
-           List.sort compare ids = ids));
-  ]
-
 let suites =
   [
     ("ext.doc-collection", doc_tests);
     ("ext.count-clause", count_tests);
     ("ext.count-optimization", count_opt_tests);
     ("ext.explain", explain_tests);
-    ("ext.name-index", index_tests);
   ]

@@ -55,7 +55,7 @@ let sampled_configs_deterministic () =
   Alcotest.(check (list string)) "same matrix"
     (List.map Fuzz.config_label a)
     (List.map Fuzz.config_label b);
-  Alcotest.(check int) "base + three sampled" 11 (List.length a)
+  Alcotest.(check int) "base + three sampled" 10 (List.length a)
 
 (* --- order pinning and agreement ----------------------------------------- *)
 

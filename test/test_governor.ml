@@ -139,7 +139,7 @@ let engine_tests =
           let g = Governor.create ~max_groups:10 () in
           Governor.with_governor g (fun () ->
               expect_code Xerror.XQENG0003 (fun () ->
-                  Xq_engine.Eval.run ~context_node:doc group_query))
+                  Exec.run_string ~context_node:doc group_query))
         done);
     test "all three strategies trip the group cap" (fun () ->
         let doc = Lazy.force orders_doc in
@@ -156,7 +156,7 @@ let engine_tests =
         Unix.sleepf 0.005;
         Governor.with_governor g (fun () ->
             expect_code Xerror.XQENG0001 (fun () ->
-                Xq_engine.Eval.run ~context_node:doc group_query)));
+                Exec.run_string ~context_node:doc group_query)));
     test "parallel grouping trips the cap and joins its domains" (fun () ->
         let doc = Lazy.force orders_doc in
         let g = Governor.create ~max_groups:10 () in
@@ -218,7 +218,7 @@ let differential_tests =
           let rng = Prng.create (0xfa017 + seed) in
           let doc = random_doc rng in
           let expected =
-            serialize (Xq_engine.Eval.run ~context_node:doc fault_query)
+            serialize (reference_run ~context_node:doc fault_query)
           in
           List.iter
             (fun (label, strategy) ->

@@ -325,6 +325,22 @@ let q11_tests =
           ("anthology=65 software=62 software/db=62 \
             software/db/concurrency=59 software/distributed=59")
           "averages");
+    test "Q11 rollup over 300 generated books allocates < 1M major words"
+      (fun () ->
+        (* every local:paths call runs a nested FLWOR on its own freshly
+           built operator chain; fixed-size sink buffers would put
+           thousands of words per call on the major heap *)
+        let doc =
+          Xq_workload.Bibliography.(
+            generate { default with books = 300; with_categories = true })
+        in
+        let run () = ignore (Sys.opaque_identity (run_on doc (paths_fn ^ q11_body))) in
+        run ();
+        let _, _, major0 = Gc.counters () in
+        run ();
+        let _, _, major1 = Gc.counters () in
+        let words = major1 -. major0 in
+        if words >= 1e6 then Alcotest.failf "%.0f major words per run" words);
   ]
 
 (* --- Q12: datacube via powerset membership function --------------------------------- *)

@@ -255,7 +255,7 @@ let arb_pairs =
 let run_ints doc q =
   List.map
     (fun it -> int_of_string (Item.string_value it))
-    (Xq_engine.Eval.run ~context_node:doc q)
+    (Xq_algebra.Exec.run_string ~context_node:doc q)
 
 let grouping_props =
   [
@@ -289,13 +289,13 @@ let grouping_props =
         let doc = doc_of_pairs pairs in
         let explicit =
           Xq_xml.Serialize.sequence
-            (Xq_engine.Eval.run ~context_node:doc
+            (Xq_algebra.Exec.run_string ~context_node:doc
                "for $i in //i group by $i/k into $k nest $i into $is order by \
                 number($k) return <g>{string($k)}:{count($is)}</g>")
         in
         let implicit =
           Xq_xml.Serialize.sequence
-            (Xq_engine.Eval.run ~context_node:doc
+            (Xq_algebra.Exec.run_string ~context_node:doc
                "for $k in distinct-values(//i/k) let $is := //i[k = $k] order \
                 by number($k) return <g>{string($k)}:{count($is)}</g>")
         in
@@ -309,41 +309,22 @@ let grouping_props =
         in
         Xq_xml.Serialize.sequence (Xq.run doc q)
         = Xq_xml.Serialize.sequence (Xq.run_rewritten doc q));
+    (* the count optimization is the plan's fn:count pushdown *)
     QCheck.Test.make ~count:200
       ~name:"count optimization preserves results on random data"
       arb_pairs
       (fun pairs ->
         let doc = doc_of_pairs pairs in
         let q =
-          Xq_lang.Parser.parse_query
-            "for $i in //i group by $i/k into $k nest $i into $is order by \
-             number($k) return <g>{string($k)}:{count($is)}</g>"
+          "for $i in //i group by $i/k into $k nest $i into $is order by \
+           number($k) return <g>{string($k)}:{count($is)}</g>"
         in
-        let plain =
-          Xq_xml.Serialize.sequence (Xq_engine.Eval.eval_query ~context_node:doc q)
+        let run enabled =
+          Helpers.with_pushdown enabled (fun () ->
+              Xq_xml.Serialize.sequence
+                (Xq_algebra.Exec.run_string ~context_node:doc q))
         in
-        let optimized =
-          Xq_xml.Serialize.sequence
-            (Xq_engine.Eval.eval_query ~context_node:doc
-               (Xq_rewrite.Rewrite.optimize_counts_query q))
-        in
-        plain = optimized);
-    QCheck.Test.make ~count:200
-      ~name:"element-name index preserves //name results on random trees"
-      arb_root
-      (fun root ->
-        let doc = Xq_xml.Builder.build_document [] in
-        ignore doc;
-        (* wrap the random tree in a document so Root navigation works *)
-        let d = Xq_xdm.Node.document () in
-        let copy = Xq_xdm.Node.copy root in
-        Xq_xdm.Node.append_child d copy;
-        List.for_all
-          (fun q ->
-            Xq_xml.Serialize.sequence (Xq_engine.Eval.run ~context_node:d q)
-            = Xq_xml.Serialize.sequence
-                (Xq_engine.Eval.run ~use_index:true ~context_node:d q))
-          [ "count(//a)"; "count(//item)"; "for $x in //b return count($x/*)" ]);
+        run false = run true);
     QCheck.Test.make ~count:200 ~name:"order by sorts like List.sort"
       (QCheck.make QCheck.Gen.(list_size (int_range 0 30) (int_range (-50) 50)))
       (fun ints ->

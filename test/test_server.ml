@@ -78,10 +78,7 @@ let test_plan_cache_keying () =
   let k_rw =
     Pipeline.cache_key ~knobs:{ knobs with Pipeline.k_rewrite = true } source
   in
-  let k_ix =
-    Pipeline.cache_key ~knobs:{ knobs with Pipeline.k_use_index = true } source
-  in
-  let keys = [ k_direct; k_hash; k_sort; k_rw; k_ix ] in
+  let keys = [ k_direct; k_hash; k_sort; k_rw ] in
   Alcotest.(check int)
     "all keys distinct"
     (List.length keys)
@@ -159,7 +156,7 @@ let test_doc_store_sharing_and_invalidation () =
       Alcotest.(check int) "still one entry" 1 s.Doc_store.d_entries;
       let got =
         Xq_xml.Serialize.sequence
-          (Xq_engine.Eval.eval_query ~context_node:d3
+          (Xq_algebra.Exec.eval_query ~context_node:d3
              (Xq_lang.Parser.parse_query "fn:count(/a/*)"))
       in
       Alcotest.(check string) "fresh content served" "2" got)
@@ -188,7 +185,7 @@ let test_doc_store_rename_swap () =
       Alcotest.(check bool) "swap reparsed" true (d1 != d2);
       let got =
         Xq_xml.Serialize.sequence
-          (Xq_engine.Eval.eval_query ~context_node:d2
+          (Xq_algebra.Exec.eval_query ~context_node:d2
              (Xq_lang.Parser.parse_query "string(/a/b)"))
       in
       Alcotest.(check string) "swapped content served" "2" got;
@@ -664,10 +661,37 @@ let test_protocol_roundtrip () =
       let ic = open_in_bin tmp in
       let got = Protocol.read_command ic in
       close_in ic;
-      match got with
-      | Some (Protocol.Run rq') ->
-        Alcotest.(check bool) "round trip" true (rq = rq')
-      | _ -> Alcotest.fail "did not parse back as Run")
+      (match got with
+       | Some (Protocol.Run rq') ->
+         Alcotest.(check bool) "round trip" true (rq = rq')
+       | _ -> Alcotest.fail "did not parse back as Run");
+      (* the retired INDEX header is an unknown header: a USAGE error *)
+      let oc = open_out_bin tmp in
+      output_string oc "QUERY 1\n1\nINDEX\nRUN\n";
+      close_out oc;
+      let ic = open_in_bin tmp in
+      let got =
+        match Protocol.read_command ic with
+        | _ -> None
+        | exception Protocol.Protocol_error m -> Some m
+      in
+      close_in ic;
+      Alcotest.(check (option string))
+        "unknown header" (Some "unknown header \"INDEX\"") got;
+      (* and a server answers it with the USAGE error *)
+      let out = Filename.temp_file "xq-proto" ".out" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove out)
+        (fun () ->
+          let ic = open_in_bin tmp and oc = open_out_bin out in
+          Server.serve_connection (Server.create ()) ic oc;
+          close_in ic;
+          close_out oc;
+          let ic = open_in_bin out in
+          let first = input_line ic in
+          close_in ic;
+          Alcotest.(check string) "USAGE response" "ERR USAGE 1"
+            (String.sub first 0 (min 11 (String.length first)))))
 
 let suites =
   [

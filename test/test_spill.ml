@@ -359,7 +359,7 @@ let differential_tests =
           let rng = Prng.create (0x5b111 + seed) in
           let doc = random_doc rng in
           let expected =
-            serialize (Xq_engine.Eval.run ~context_node:doc diff_query)
+            serialize (reference_run ~context_node:doc diff_query)
           in
           List.iter
             (fun (slabel, strategy) ->
@@ -447,7 +447,7 @@ let fault_tests =
           let rng = Prng.create (0x10fa + seed) in
           let doc = random_doc rng in
           let expected =
-            serialize (Xq_engine.Eval.run ~context_node:doc diff_query)
+            serialize (reference_run ~context_node:doc diff_query)
           in
           (* These docs see ~10× the tick points of the governor fault
              suite, plus spill I/O: sweep the rate from survivable to

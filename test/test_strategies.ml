@@ -1,7 +1,7 @@
 (* Cross-strategy differential tests: the same randomized workloads run
-   through the direct evaluator and through the plan executor under every
-   grouping strategy (hash / sort / auto with sort fusion), and must
-   serialize identically.  Plus direct unit tests of the grouping
+   through the plan executor under every grouping strategy (hash / sort /
+   auto with sort fusion) and must serialize exactly like the reference
+   evaluator ([Helpers.reference_run]).  Plus direct unit tests of the grouping
    operators: forced hash collisions, comparator-scan grouping, and the
    run-splitting that keeps sort-based grouping exact. *)
 
@@ -79,7 +79,7 @@ let differential name query =
       for seed = 0 to seeds - 1 do
         let rng = Prng.create (0x5eed + seed) in
         let doc = random_doc rng in
-        let expected = serialize (Xq_engine.Eval.run ~context_node:doc query) in
+        let expected = serialize (reference_run ~context_node:doc query) in
         List.iter
           (fun (label, strategy) ->
             List.iter
@@ -131,7 +131,7 @@ let batch_differential name query =
             let doc = random_doc rng in
             Xq_par.Batch.set_size None;
             let expected =
-              serialize (Xq_engine.Eval.run ~context_node:doc query)
+              serialize (reference_run ~context_node:doc query)
             in
             List.iter
               (fun batch ->
@@ -410,6 +410,69 @@ let instrumentation_tests =
           strategies);
   ]
 
+(* --- nested FLWORs run on the operator chain -------------------------------- *)
+
+(* A grouped FLWOR inside a [let], and one in a user function body; the
+   variable names keep their operator signatures apart from any other
+   test's. *)
+let let_inner = "for $li in //i group by $li/k into $lk return $lk"
+let fn_inner = "for $fi in $r//i group by $fi/k into $fk return $fk"
+
+let nested_queries =
+  [
+    ("let", let_inner, "let $lg := (" ^ let_inner ^ ") return count($lg)");
+    ( "function body",
+      fn_inner,
+      "declare function local:keys($r as item()*) as item()* { " ^ fn_inner
+      ^ " }; count(local:keys(/))" );
+  ]
+
+(* The [Plan.op_line] signature of a FLWOR's grouping operator — the key
+   its executed group count is recorded under. *)
+let group_signature strategy src =
+  match Xq_lang.Parser.parse_expr src with
+  | Xq_lang.Ast.Flwor f ->
+    let rec find (op : Plan.op) =
+      match op with
+      | Plan.Hash_group _ | Plan.Sort_group _ | Plan.Scan_group _ ->
+        Plan.op_line op
+      | _ -> (
+        match Plan.input_of op with
+        | Some input -> find input
+        | None -> Alcotest.fail "no grouping operator")
+    in
+    find (Exec.plan_flwor ~strategy f).Plan.pipeline
+  | _ -> Alcotest.fail "expected FLWOR"
+
+let nested_tests =
+  List.concat_map
+    (fun (label, strategy) ->
+      List.map
+        (fun (where, inner, query) ->
+          test
+            (Printf.sprintf "a grouped FLWOR in a %s records its groups (%s)"
+               where label)
+            (fun () ->
+              let doc =
+                Xq_xml.Xml_parse.parse
+                  "<r><i><k>a</k></i><i><k>b</k></i><i><k>a</k></i></r>"
+              in
+              let knobs =
+                { Xq_pipeline.Pipeline.default_knobs with k_strategy = Some strategy }
+              in
+              let report =
+                Xq_pipeline.Pipeline.run ~knobs ~source:query
+                  ~load_doc:(fun () -> doc)
+                  ()
+              in
+              Alcotest.(check string) "result" "2" report.Xq_pipeline.Pipeline.r_output;
+              Alcotest.(check (option int))
+                "recorded group count" (Some 2)
+                (Optimizer.estimated_groups
+                   ~signature:(group_signature strategy inner))))
+        nested_queries)
+    [ ("hash", Optimizer.Hash); ("sort", Optimizer.Sort) ]
+
 (* --- order invariants of the sort comparator (qcheck) ---------------------- *)
 
 let order_props =
@@ -456,5 +519,6 @@ let suites =
     ("strategies.sort-group", sort_group_tests);
     ("strategies.plans", shape_tests);
     ("strategies.instrumentation", instrumentation_tests);
+    ("strategies.nested", nested_tests);
     ("strategies.order", List.map to_alcotest order_props);
   ]

@@ -160,7 +160,7 @@ let integration_tests =
     test "algebra executes window plans identically" (fun () ->
         let doc = Xq_xml.Xml_parse.parse sales in
         let direct =
-          Xq_xml.Serialize.sequence (Xq_engine.Eval.run ~context_node:doc q8_window)
+          Xq_xml.Serialize.sequence (reference_run ~context_node:doc q8_window)
         in
         let algebra =
           Xq_xml.Serialize.sequence
@@ -218,7 +218,7 @@ let property_tests =
            in
            let total =
              Xq_xml.Serialize.sequence
-               (Xq_engine.Eval.run ~context_node:doc src)
+               (Xq_algebra.Exec.run_string ~context_node:doc src)
            in
            total = string_of_int n));
     QCheck_alcotest.to_alcotest
@@ -235,7 +235,7 @@ let property_tests =
            in
            let count =
              Xq_xml.Serialize.sequence
-               (Xq_engine.Eval.run ~context_node:doc src)
+               (Xq_algebra.Exec.run_string ~context_node:doc src)
            in
            count = string_of_int (max 0 (n - width + 1))));
   ]

@@ -528,7 +528,7 @@ let leaf_tests =
           ~finally:(fun () -> Xq_par.Batch.set_size None)
           (fun () ->
             Xq_par.Batch.set_size (Some 4096);
-            let scan () = Xq_engine.Eval.run ~context_node:d "//order/lineitem" in
+            let scan () = Xq_algebra.Exec.run_string ~context_node:d "//order/lineitem" in
             let n = List.length (scan ()) in
             let w0 = Gc.minor_words () in
             ignore (Sys.opaque_identity (scan ()));

@@ -103,8 +103,8 @@ let explain_analyze_flag =
   let doc =
     "EXPLAIN ANALYZE: execute the query through the plan algebra and \
      print the executed operator tree annotated with per-operator rows \
-     in/out, groups built, comparator calls and CPU time, instead of the \
-     query result."
+     in/out, groups built, comparator calls and wall-clock self time, \
+     instead of the query result."
   in
   Arg.(value & flag & info [ "explain-analyze" ] ~doc)
 
@@ -406,7 +406,7 @@ let profile_cmd =
           print_string (Xq.Algebra.Plan.to_string plan);
           Printf.printf "\n%-24s %10s %10s %10s %10s %10s %8s %8s %5s %12s\n"
             "operator" "rows in" "rows out" "groups" "cmp" "walks" "dict"
-            "batches" "par" "cpu ms";
+            "batches" "par" "self ms";
           List.iter
             (fun (s : Xq.Algebra.Exec.Stats.entry) ->
               Printf.printf "%-24s %10d %10d %10s %10d %10d %8d %8d %5d %12.2f\n"
@@ -431,7 +431,8 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Compile the query to a plan, execute it and report per-operator \
-             row counts, comparator calls and CPU time.")
+             row counts, comparator calls and wall-clock self time, counted \
+             on the chain a normal run executes.")
     Term.(
       const action $ query_file $ input_file $ plan_optimize_flag
       $ strategy_opt $ parallel_opt $ batch_opt $ timeout_opt

@@ -17,9 +17,9 @@ let explicit =
     return <r>{string($m), count($items)}</r>|}
 
 let time f =
-  let t0 = Sys.time () in
+  let t0 = Xq_governor.Clock.now_ns () in
   let r = f () in
-  (r, (Sys.time () -. t0) *. 1000.0)
+  (r, float_of_int (Xq_governor.Clock.now_ns () - t0) /. 1e6)
 
 let () =
   let doc =

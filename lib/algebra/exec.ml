@@ -4,6 +4,7 @@ open Xq_lang
 module Smap = Map.Make (String)
 module Par = Xq_par.Par
 module Governor = Xq_governor.Governor
+module Clock = Xq_governor.Clock
 
 type tuple = Xseq.t Smap.t
 
@@ -295,12 +296,9 @@ let scan_comparators ctx (shape : Plan.group_shape) =
   fun i a b -> comparators.(i) a b
 
 (* Build the sink for one operator. [tally] counts comparator work (key
-   equality tests, sort comparisons); [batches] counts the input vectors
-   the operator receives (EXPLAIN's [batch=] annotation). [parallel] is
-   the domain-pool degree; any degree produces byte-identical output. *)
-let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
-    sink =
-  let count_batch () = match batches with Some r -> incr r | None -> () in
+   equality tests, sort comparisons). [parallel] is the domain-pool
+   degree; any degree produces byte-identical output. *)
+let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
   match op with
   | Plan.Unit ->
     {
@@ -317,7 +315,6 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
     {
       push =
         (fun vec ->
-          count_batch ();
           Governor.tick ();
           Array.iter
             (fun tuple ->
@@ -345,7 +342,6 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
     {
       push =
         (fun vec ->
-          count_batch ();
           Governor.tick ();
           down.push
             (if par_ok then Par.map ~degree:parallel bind vec
@@ -359,7 +355,6 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
     {
       push =
         (fun vec ->
-          count_batch ();
           Governor.tick ();
           let keep =
             if par_ok then Par.map ~degree:parallel test vec
@@ -387,7 +382,6 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
     {
       push =
         (fun vec ->
-          count_batch ();
           Governor.tick ();
           down.push
             (Array.map
@@ -403,7 +397,6 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
     {
       push =
         (fun vec ->
-          count_batch ();
           Governor.tick ();
           Array.iter
             (fun tuple ->
@@ -428,7 +421,6 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
     {
       push =
         (fun vec ->
-          count_batch ();
           acc := vec :: !acc);
       close =
         (fun () ->
@@ -533,7 +525,6 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
       {
         push =
           (fun vec ->
-            count_batch ();
             Governor.tick ();
             Xq_engine.Group.feed bld
               (if par_rows then Par.map ~degree:parallel make_row vec
@@ -568,7 +559,6 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
       {
         push =
           (fun vec ->
-            count_batch ();
             Xq_engine.Group.feed bld vec);
         close =
           (fun () ->
@@ -594,7 +584,7 @@ let linearize op =
   in
   go [] op
 
-(* --- instrumentation ------------------------------------------------------ *)
+(* --- statistics ------------------------------------------------------------ *)
 
 module Stats = struct
   type entry = {
@@ -619,9 +609,8 @@ module Stats = struct
   type t = entry list
 end
 
-(* Spill counters of the installed governor, for per-operator deltas
-   (mirrors the key_walks delta pattern). All zero when ungoverned, so
-   the fields stay silent in EXPLAIN ANALYZE output. *)
+(* Spill counters of the installed governor. All zero when ungoverned,
+   so the fields stay silent in EXPLAIN ANALYZE output. *)
 let spill_now () =
   match Governor.current () with
   | None -> (0, 0, 0)
@@ -650,11 +639,6 @@ let is_grouping = function
   | Plan.Number _ | Plan.Window_expand _ | Plan.Sort _ ->
     false
 
-let number_stream plan stream =
-  match plan.Plan.return_at with
-  | None -> stream
-  | Some v -> List.mapi (fun i t -> Smap.add v (Xseq.of_int (i + 1)) t) stream
-
 (* Which operators can actually use the pool (the [par=] annotation). *)
 let op_parallelizable ctx = function
   | Plan.Sort _ -> true
@@ -662,121 +646,111 @@ let op_parallelizable ctx = function
   | Plan.Select { pred; _ } -> Xq_engine.Eval.parallel_safe ctx pred
   | op -> is_grouping op
 
-(* Run one operator over a materialized input, feeding it vectors of
-   [batch] tuples — the instrumented path stays operator-at-a-time (so
-   per-operator timings and deltas are exact) while exercising exactly
-   the sinks the streaming [run] uses. *)
-let apply_op ?tally ?batches ~batch ~parallel ctx op input =
-  let acc = ref [] in
-  let collector =
-    {
-      push = (fun vec -> acc := vec :: !acc);
-      close = (fun () -> ());
-      pressure = (fun () -> ());
-    }
-  in
-  let s = op_sink ?tally ?batches ~batch ~parallel ctx op collector in
-  (match op with
-  | Plan.Unit -> ()
-  | _ ->
-    let arr = Array.of_list input in
-    let n = Array.length arr in
-    let base = ref 0 in
-    while !base < n do
-      let len = min batch (n - !base) in
-      s.push (Array.sub arr !base len);
-      base := !base + len
-    done);
-  s.close ();
-  List.concat_map Array.to_list (List.rev !acc)
+(* Monotonic figures a meter brackets each call with: wall time (ns), key
+   walks, dictionary interns, spilled bytes, spill files, repartitions. *)
+let figures () =
+  let sb, sf, rp = spill_now () in
+  [|
+    Clock.now_ns ();
+    Xq_engine.Key.walk_count ();
+    Xq_engine.Key.intern_count ();
+    sb;
+    sf;
+    rp;
+  |]
 
-let run_instrumented ?(parallel = 1) ctx (plan : Plan.plan) =
-  (* CPU-time profile per operator, innermost first (Sys.time keeps the
-     library free of clock dependencies; the bench harness uses the
-     monotonic clock for wall time). *)
-  let batch = Batch.size () in
-  let stats = ref [] in
-  let stream =
-    List.fold_left
-      (fun input op ->
-        let tally = ref 0 in
-        let batches = ref 0 in
-        let rows_in = List.length input in
-        let walks0 = Xq_engine.Key.walk_count () in
-        let interns0 = Xq_engine.Key.intern_count () in
-        let sb0, sf0, rp0 = spill_now () in
-        let t0 = Sys.time () in
-        let out = apply_op ~tally ~batches ~batch ~parallel ctx op input in
-        let elapsed_ms = (Sys.time () -. t0) *. 1000.0 in
-        let sb1, sf1, rp1 = spill_now () in
-        let rows_out = List.length out in
-        stats :=
-          {
-            Stats.label = op_label op;
-            rows_in;
-            rows_out;
-            groups_built = (if is_grouping op then Some rows_out else None);
-            cmp_calls = !tally;
-            key_walks = Xq_engine.Key.walk_count () - walks0;
-            spilled_bytes = sb1 - sb0;
-            spill_files = sf1 - sf0;
-            repartitions = rp1 - rp0;
-            dict_interns = Xq_engine.Key.intern_count () - interns0;
-            dict_entries = Xq_engine.Key.dict_size ();
-            batches = !batches;
-            batch;
-            par = (if op_parallelizable ctx op then parallel else 1);
-            elapsed_ms;
-          }
-          :: !stats;
-        out)
-      [] (linearize plan.Plan.pipeline)
-  in
-  let numbered = number_stream plan stream in
-  let t0 = Sys.time () in
-  let result =
-    Xseq.concat
-      (List.map (fun t -> eval_in ctx t plan.Plan.return_expr) numbered)
-  in
-  let elapsed_ms = (Sys.time () -. t0) *. 1000.0 in
-  stats :=
-    {
-      Stats.label = "RETURN";
-      rows_in = List.length numbered;
-      rows_out = List.length result;
-      groups_built = None;
-      cmp_calls = 0;
-      key_walks = 0;
-      spilled_bytes = 0;
-      spill_files = 0;
-      repartitions = 0;
-      dict_interns = 0;
-      dict_entries = 0;
-      batches = 0;
-      batch;
-      par = 1;
-      elapsed_ms;
-    }
-    :: !stats;
-  (result, List.rev !stats)
+let zero_figures () = Array.make 6 0
 
-type operator_stat = {
-  op_label : string;
-  tuples_out : int;
-  elapsed_ms : float;
+(* Counters of one sink in an instrumented chain. [incl] sums each
+   figure over the sink's push/close/pressure calls, so it includes the
+   operators downstream (they run inside those calls); a stats entry
+   subtracts the downstream meter's [incl] to get the operator's own
+   share. *)
+type meter = {
+  mutable rows : int;
+  mutable vectors : int;
+  tally : int ref;
+  incl : int array;
 }
 
-let run_profiled ?parallel ctx (plan : Plan.plan) =
-  let result, stats = run_instrumented ?parallel ctx plan in
-  ( result,
-    List.map
-      (fun (e : Stats.entry) ->
-        {
-          op_label = e.Stats.label;
-          tuples_out = e.Stats.rows_out;
-          elapsed_ms = e.Stats.elapsed_ms;
-        })
-      stats )
+let metered m (s : sink) : sink =
+  let measure f x =
+    let before = figures () in
+    f x;
+    Array.iteri
+      (fun i now -> m.incl.(i) <- m.incl.(i) + now - before.(i))
+      (figures ())
+  in
+  {
+    push =
+      (fun vec ->
+        m.rows <- m.rows + Array.length vec;
+        m.vectors <- m.vectors + 1;
+        measure s.push vec);
+    close = measure s.close;
+    pressure = measure s.pressure;
+  }
+
+(* The one chain builder: [ops] innermost first, each operator's sink
+   feeding the next and the last feeding [final]. With [meter], every
+   sink ([final] included) is wrapped in a fresh meter, returned in
+   chain order; without, the chain is the bare sinks. *)
+let build_chain ~meter ~batch ~parallel ctx ops final =
+  let with_meter make =
+    if meter then begin
+      let m = { rows = 0; vectors = 0; tally = ref 0; incl = zero_figures () } in
+      (metered m (make (Some m.tally)), [ m ])
+    end
+    else (make None, [])
+  in
+  List.fold_right
+    (fun op (down, meters) ->
+      let s, m =
+        with_meter (fun tally -> op_sink ?tally ~batch ~parallel ctx op down)
+      in
+      (s, m @ meters))
+    ops
+    (with_meter (fun _ -> final))
+
+(* One entry per operator plus RETURN, from the meters of a finished
+   chain: rows out are the downstream sink's rows in (RETURN's are the
+   result items), self figures are own minus downstream inclusive. *)
+let stats_of ~batch ~parallel ctx ops meters ~result_items =
+  let entry ~label ~grouping ~par ~rows_out m down =
+    let self i = m.incl.(i) - down.(i) in
+    {
+      Stats.label;
+      rows_in = m.rows;
+      rows_out;
+      groups_built = (if grouping then Some rows_out else None);
+      cmp_calls = !(m.tally);
+      key_walks = self 1;
+      dict_interns = self 2;
+      spilled_bytes = self 3;
+      spill_files = self 4;
+      repartitions = self 5;
+      dict_entries = Xq_engine.Key.dict_size ();
+      batches = m.vectors;
+      batch;
+      par;
+      elapsed_ms = float_of_int (self 0) /. 1e6;
+    }
+  in
+  let rec go ops meters =
+    match (ops, meters) with
+    | op :: ops, m :: (down :: _ as rest) ->
+      entry ~label:(op_label op) ~grouping:(is_grouping op)
+        ~par:(if op_parallelizable ctx op then parallel else 1)
+        ~rows_out:down.rows m down.incl
+      :: go ops rest
+    | [], [ m ] ->
+      [
+        entry ~label:"RETURN" ~grouping:false ~par:1 ~rows_out:result_items m
+          (zero_figures ());
+      ]
+    | _ -> assert false (* one meter per operator, plus RETURN's *)
+  in
+  go ops meters
 
 (* The chain's last sink: number the tuples ([return at]) and evaluate
    the return clause; [result ()] concatenates what it collected. *)
@@ -804,18 +778,22 @@ let return_sink ctx (plan : Plan.plan) =
   in
   (final, fun () -> Xseq.concat (List.rev !rev_out))
 
-let run ?parallel ctx (plan : Plan.plan) =
-  let parallel = match parallel with Some p -> p | None -> 1 in
+let run ?stats ~parallel ctx (plan : Plan.plan) =
   let batch = Batch.size () in
+  let ops = linearize plan.Plan.pipeline in
   let final, result = return_sink ctx plan in
-  let chain =
-    List.fold_right
-      (fun op down -> op_sink ~batch ~parallel ctx op down)
-      (linearize plan.Plan.pipeline)
-      final
+  let chain, meters =
+    build_chain ~meter:(stats <> None) ~batch ~parallel ctx ops final
   in
   chain.close ();
-  result ()
+  let result = result () in
+  (match stats with
+   | Some r ->
+     r :=
+       stats_of ~batch ~parallel ctx ops meters
+         ~result_items:(List.length result)
+   | None -> ());
+  result
 
 (* --- queries --------------------------------------------------------------- *)
 
@@ -827,18 +805,24 @@ let plan_flwor ?(optimize = false) ~strategy f =
   let plan = Optimizer.push_aggregates plan in
   if optimize then Optimizer.optimize plan else plan
 
+(* A query's settings when the caller gives none: [XQ_GROUP_STRATEGY]
+   (else hash) and the process default degree. *)
+let strategy_or_env = function
+  | Some s -> s
+  | None -> Optimizer.strategy_from_env ()
+
+let degree_or_default = function
+  | Some p -> p
+  | None -> Par.default_degree ()
+
 (* Dynamic context for a query: prolog, the fn:doc/fn:collection
    registry, the FLWOR runner, focus on the context node, then the
    prolog's global variables (evaluated in order — they may hold FLWORs
    themselves, so the runner goes in first). *)
 let query_context ?optimize ?strategy ?parallel ?(documents = [])
     ?(collections = []) ?default_collection ~context_node (q : Ast.query) =
-  let strategy =
-    match strategy with Some s -> s | None -> Optimizer.strategy_from_env ()
-  in
-  let parallel =
-    match parallel with Some p -> p | None -> Par.default_degree ()
-  in
+  let strategy = strategy_or_env strategy in
+  let parallel = degree_or_default parallel in
   let module C = Xq_engine.Context in
   let ctx = C.of_prolog q.Ast.prolog in
   let ctx =
@@ -882,16 +866,16 @@ type analyzed =
   | Analyzed_expr of Xseq.t
 
 let analyze_query ?optimize ?strategy ?parallel ~context_node (q : Ast.query) =
-  let strategy =
-    match strategy with Some s -> s | None -> Optimizer.strategy_from_env ()
-  in
-  let ctx = query_context ?optimize ~strategy ?parallel ~context_node q in
+  let strategy = strategy_or_env strategy in
+  let parallel = degree_or_default parallel in
+  let ctx = query_context ?optimize ~strategy ~parallel ~context_node q in
   let rec go (e : Ast.expr) =
     match e with
     | Ast.Flwor f ->
       let plan = plan_flwor ?optimize ~strategy f in
-      let result, stats = run_instrumented ?parallel ctx plan in
-      [ Analyzed_plan (plan, result, stats) ]
+      let stats = ref [] in
+      let result = run ~stats ~parallel ctx plan in
+      [ Analyzed_plan (plan, result, !stats) ]
     | Ast.Sequence es -> List.concat_map go es
     | other -> [ Analyzed_expr (Xq_engine.Eval.eval ctx other) ]
   in
@@ -912,16 +896,8 @@ let analyze_query ?optimize ?strategy ?parallel ~context_node (q : Ast.query) =
 let eval_query_stream ?(check = true) ?optimize ?strategy ?parallel
     ?keep_whitespace ~source ~path ~var ~positional (q : Ast.query) =
   if check then Static.check_query q;
-  let strategy =
-    match strategy with
-    | Some s -> s
-    | None -> Optimizer.strategy_from_env ()
-  in
-  let parallel =
-    match parallel with
-    | Some p -> p
-    | None -> Par.default_degree ()
-  in
+  let strategy = strategy_or_env strategy in
+  let parallel = degree_or_default parallel in
   let f =
     match q.Ast.body with
     | Ast.Flwor f -> f
@@ -969,11 +945,7 @@ let eval_query_stream ?(check = true) ?optimize ?strategy ?parallel
       | Some g -> Governor.set_stream_mode g was_stream
       | None -> ())
     (fun () ->
-      let chain =
-        List.fold_right
-          (fun op down -> op_sink ~batch ~parallel ctx op down)
-          rest final
-      in
+      let chain, _ = build_chain ~meter:false ~batch ~parallel ctx rest final in
       let releasing =
         {
           push =

@@ -1,20 +1,17 @@
 (** Interpreter for {!Plan} operator trees. Expression evaluation is
     delegated to [Xq_engine.Eval]; tuple-stream mechanics (expansion,
     selection, sorting, grouping, numbering) run here over the explicit
-    operators, so a plan is exactly what executes. *)
+    operators, so a plan is exactly what executes. One chain builder
+    serves {!run}, {!analyze_query} and {!eval_query_stream}; EXPLAIN
+    ANALYZE counts the same chain a normal run executes. *)
 
 open Xq_xdm
 
-(** Execute a plan in a dynamic context (as built by the engine).
-    [parallel] is the domain-pool degree for grouping and sorting
-    operators (default: [Par.default_degree ()], i.e. [XQ_PARALLEL] or
-    1); output is byte-identical at any degree. *)
-val run : ?parallel:int -> Xq_engine.Context.t -> Plan.plan -> Xseq.t
+(** {1 Statistics}
 
-(** {1 Instrumentation}
-
-    [run_instrumented] executes the plan while collecting per-operator
-    runtime statistics — what EXPLAIN ANALYZE renders. *)
+    What EXPLAIN ANALYZE and [profile] render: one entry per operator of
+    an executed chain, counted by a wrapper around that operator's sink
+    while the chain runs (see {!run}). *)
 
 module Stats : sig
   type entry = {
@@ -38,7 +35,7 @@ module Stats : sig
         (** node keys this operator interned into the key dictionary
             (0 for non-grouping operators and for small inputs) *)
     dict_entries : int;
-        (** size of the process key dictionary after this operator *)
+        (** size of the process key dictionary when the run finished *)
     batches : int;
         (** input vectors the operator consumed (1 for small inputs;
             0 for sources) *)
@@ -46,7 +43,10 @@ module Stats : sig
     par : int;
         (** domain-pool degree available to this operator (1 when the
             operator cannot parallelize) *)
-    elapsed_ms : float;    (** CPU time spent in this operator *)
+    elapsed_ms : float;
+        (** wall-clock time on the monotonic clock spent in this
+            operator itself: time inside its sink minus time inside the
+            operators downstream of it *)
   }
 
   (** Innermost operator first, the return clause last — execution
@@ -54,24 +54,17 @@ module Stats : sig
   type t = entry list
 end
 
-val run_instrumented :
-  ?parallel:int -> Xq_engine.Context.t -> Plan.plan -> Xseq.t * Stats.t
-
-(** {1 Profiling (legacy summary view)} *)
-
-type operator_stat = {
-  op_label : string;    (** e.g. ["HASH-GROUP"], ["FOR-EXPAND $x"] *)
-  tuples_out : int;     (** cardinality of the operator's output stream *)
-  elapsed_ms : float;   (** CPU time spent in this operator *)
-}
-
-(** Execute and report per-operator statistics, innermost operator first
-    and the return clause last. A projection of {!run_instrumented}. *)
-val run_profiled :
-  ?parallel:int ->
-  Xq_engine.Context.t ->
-  Plan.plan ->
-  Xseq.t * operator_stat list
+(** Execute a plan in a dynamic context (as built by the engine) as a
+    pipelined chain of sinks. [parallel] is the domain-pool degree for
+    grouping, sorting and parallel-safe let/where operators; output is
+    byte-identical at any degree. With [stats], each operator's sink and
+    the return clause's are wrapped in counters and [stats] is set to
+    their figures when the run finishes (time, key walks, interns and
+    spill figures are self deltas: the operator's own minus those of the
+    operators downstream). Without it the chain carries no counters. *)
+val run :
+  ?stats:Stats.t ref -> parallel:int -> Xq_engine.Context.t -> Plan.plan ->
+  Xseq.t
 
 (** {1 Queries}
 
@@ -133,13 +126,18 @@ val run_string :
 type analyzed =
   | Analyzed_plan of Plan.plan * Xseq.t * Stats.t
       (** a top-level FLWOR (or member of a top-level sequence), run
-          through {!run_instrumented}: its plan, result and statistics *)
+          through {!run} with statistics: its plan, result and
+          statistics *)
   | Analyzed_expr of Xseq.t  (** any other top-level expression *)
 
 (** Execute the query body for EXPLAIN ANALYZE and [profile]: each
-    top-level FLWOR runs instrumented (FLWORs nested inside it run
-    through the context's runner as usual), in body order. Static
-    checking is the caller's. *)
+    top-level FLWOR runs through {!run} with statistics, at the degree
+    and strategy every other FLWOR of the query runs at ([parallel]
+    defaults to [Par.default_degree ()], [strategy] to
+    [XQ_GROUP_STRATEGY], else hash). FLWORs nested inside it run through
+    the context's runner as usual, and their cost counts toward the
+    operator that evaluated them. Body order; static checking is the
+    caller's. *)
 val analyze_query :
   ?optimize:bool ->
   ?strategy:Optimizer.group_strategy ->

@@ -1,10 +1,6 @@
 open Xq_lang
 module Sset = Ast_utils.Sset
 
-let rewrites = ref 0
-
-let last_rewrite_count () = !rewrites
-
 let free = Ast_utils.free_vars
 
 let spec_free specs =
@@ -29,8 +25,10 @@ let is_true_pred = function
   | _ -> false
 
 (* One top-down pass. [live] is the set of variables some operator above
-   (or the return clause) still reads. *)
-let rec pass live (op : Plan.op) : Plan.op =
+   (or the return clause) still reads; [rewrites] counts rule
+   applications, so the fixpoint knows when a pass changed nothing. *)
+let rec pass rewrites live (op : Plan.op) : Plan.op =
+  let pass = pass rewrites in
   match op with
   | Plan.Unit -> Plan.Unit
   | Plan.Select { pred; input } when is_true_pred pred ->
@@ -105,7 +103,7 @@ let rec pass live (op : Plan.op) : Plan.op =
       }
 
 let optimize (plan : Plan.plan) =
-  rewrites := 0;
+  let rewrites = ref 0 in
   let root_live =
     let live = free plan.Plan.return_expr in
     match plan.Plan.return_at with
@@ -114,7 +112,7 @@ let optimize (plan : Plan.plan) =
   in
   let rec fix op =
     let before = !rewrites in
-    let op' = pass root_live op in
+    let op' = pass rewrites root_live op in
     if !rewrites = before then op' else fix op'
   in
   { plan with Plan.pipeline = fix plan.Plan.pipeline }

@@ -21,10 +21,6 @@
     for liveness). *)
 val optimize : Plan.plan -> Plan.plan
 
-(** Number of rule applications the optimizer performed (for tests and
-    plan output). *)
-val last_rewrite_count : unit -> int
-
 (** {1 Grouping-strategy selection}
 
     Which physical operator executes a default-equality [group by]:

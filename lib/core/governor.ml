@@ -84,7 +84,8 @@ let stride = 64
    checked immediately. *)
 let mem_stride = 64
 
-let now () = Unix.gettimeofday ()
+(* seconds on the monotonic clock: a deadline survives wall-clock steps *)
+let now () = float_of_int (Clock.now_ns ()) *. 1e-9
 
 let word_bytes = Sys.word_size / 8
 

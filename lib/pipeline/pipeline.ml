@@ -1,6 +1,7 @@
 (* The shared compile-and-run pipeline. See pipeline.mli. *)
 
 module Governor = Xq_governor.Governor
+module Clock = Xq_governor.Clock
 module Optimizer = Xq_algebra.Optimizer
 
 type knobs = {
@@ -187,13 +188,13 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
            rebaseline: --max-mem budgets the query's own work, not the
            startup heap (streamed input is charged as parse-ahead) *)
         (match gov with Some g -> Governor.rebaseline g | None -> ());
-        let t0 = Sys.time () in
+        let t0 = Clock.now_ns () in
         let result =
           Xq_algebra.Exec.eval_query_stream ~check:false ~strategy
             ?parallel:knobs.k_parallel ~source:src ~path ~var ~positional
             compiled.c_query
         in
-        let elapsed = (Sys.time () -. t0) *. 1000.0 in
+        let elapsed = float_of_int (Clock.now_ns () - t0) /. 1e6 in
         let rendered = render ~indent result in
         {
           r_output = rendered;
@@ -249,12 +250,12 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
             r_stats = Option.map Governor.stats gov;
           }
         else begin
-          let t0 = Sys.time () in
+          let t0 = Clock.now_ns () in
           let result =
             eval ?strategy:knobs.k_strategy ?parallel:knobs.k_parallel ~doc
               compiled
           in
-          let elapsed = (Sys.time () -. t0) *. 1000.0 in
+          let elapsed = float_of_int (Clock.now_ns () - t0) /. 1e6 in
           (* serialize fully before anything is written, so a trip
              mid-query never leaves partial output anywhere *)
           let rendered = render ~indent result in

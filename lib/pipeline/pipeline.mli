@@ -84,7 +84,9 @@ type report = {
   r_output : string;
       (** the rendered result — or the EXPLAIN ANALYZE text *)
   r_items : int;  (** result cardinality (0 in explain mode) *)
-  r_elapsed_ms : float;  (** evaluation time, excluding document load *)
+  r_elapsed_ms : float;
+      (** evaluation wall-clock time (monotonic clock), excluding
+          document load *)
   r_stats : Xq_governor.Governor.stats option;
       (** the governor's stats when one was installed *)
 }

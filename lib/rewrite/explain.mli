@@ -17,8 +17,9 @@ val query : Ast.query -> string
     annotated with its runtime counters — rows in/out, groups built,
     comparator calls, key-subtree walks ([walks=], when any), the
     domain-pool degree ([par=], when above 1), and (unless
-    [timings:false], which golden tests use for determinism)
-    per-operator CPU time. *)
+    [timings:false], which golden tests use for determinism) each
+    operator's wall-clock self time. The counters come from the chain a
+    normal run executes ({!Xq_algebra.Exec.run} with statistics). *)
 
 (** Render one executed plan with its statistics. *)
 val analyzed :
@@ -29,7 +30,8 @@ val analyzed :
     with the total result cardinality. [strategy] defaults to
     [XQ_GROUP_STRATEGY] (else hash); [optimize] runs the plan
     optimizer first; [parallel] sets the domain-pool degree (default
-    [XQ_PARALLEL], else 1). *)
+    [Par.default_degree ()]: [--parallel], else [XQ_PARALLEL], else 1 —
+    the degree a normal run of the query uses). *)
 val analyze_query :
   ?timings:bool ->
   ?optimize:bool ->

@@ -445,7 +445,8 @@ let explain_tests =
         let doc = lineitems_doc () in
         let analyze () =
           Xq_rewrite.Explain.analyze_query ~timings:false
-            ~strategy:Optimizer.Hash ~context_node:doc (Xq.parse agg_query)
+            ~strategy:Optimizer.Hash ~parallel:1 ~context_node:doc
+            (Xq.parse agg_query)
         in
         let pushed = with_pushdown true analyze in
         check_bool "rewrite line" true

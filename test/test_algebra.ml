@@ -291,16 +291,19 @@ let profiler_tests =
           Xq_engine.Context.with_focus Xq_engine.Context.empty
             { Xq_engine.Context.item = Xq_xdm.Item.Node doc; position = 1; size = 1 }
         in
-        let result, stats = Xq_algebra.Exec.run_profiled ctx plan in
+        let stats = ref [] in
+        let result = Xq_algebra.Exec.run ~stats ~parallel:1 ctx plan in
         check_string "result" "2" (Xq_xml.Serialize.sequence result);
         (* UNIT, FOR-EXPAND, SELECT, HASH-GROUP, RETURN *)
-        check_int "operators" 5 (List.length stats);
+        check_int "operators" 5 (List.length !stats);
         let by_label l =
-          List.find (fun (s : Xq_algebra.Exec.operator_stat) -> s.Xq_algebra.Exec.op_label = l) stats
+          List.find
+            (fun (s : Xq_algebra.Exec.Stats.entry) -> s.label = l)
+            !stats
         in
-        check_int "expand out" 3 (by_label "FOR-EXPAND $x").Xq_algebra.Exec.tuples_out;
-        check_int "select out" 2 (by_label "SELECT").Xq_algebra.Exec.tuples_out;
-        check_int "group out" 1 (by_label "HASH-GROUP").Xq_algebra.Exec.tuples_out);
+        check_int "expand out" 3 (by_label "FOR-EXPAND $x").rows_out;
+        check_int "select out" 2 (by_label "SELECT").rows_out;
+        check_int "group out" 1 (by_label "HASH-GROUP").rows_out);
     test "profiled result equals plain run" (fun () ->
         let doc = Xq_xml.Xml_parse.parse "<r><v>2</v><v>1</v></r>" in
         let plan = plan_of "for $x in //v order by number($x) return string($x)" in
@@ -308,8 +311,10 @@ let profiler_tests =
           Xq_engine.Context.with_focus Xq_engine.Context.empty
             { Xq_engine.Context.item = Xq_xdm.Item.Node doc; position = 1; size = 1 }
         in
-        let plain = Xq_algebra.Exec.run ctx plan in
-        let profiled, _ = Xq_algebra.Exec.run_profiled ctx plan in
+        let plain = Xq_algebra.Exec.run ~parallel:1 ctx plan in
+        let profiled =
+          Xq_algebra.Exec.run ~stats:(ref []) ~parallel:1 ctx plan
+        in
         check_string "same"
           (Xq_xml.Serialize.sequence plain)
           (Xq_xml.Serialize.sequence profiled));

@@ -71,9 +71,11 @@ let explain_tests =
             check_golden file ".plan.expected" (Xq_rewrite.Explain.query query);
             List.iter
               (fun (suffix, strategy) ->
+                (* degree 1 likewise: analysis runs at the query's degree,
+                   and an XQ_PARALLEL=4 sweep would add par=4 *)
                 let actual =
                   Xq_rewrite.Explain.analyze_query ~timings:false ~strategy
-                    ~context_node:doc query
+                    ~parallel:1 ~context_node:doc query
                 in
                 Alcotest.(check bool)
                   (file ^ suffix ^ " has no timings") false

@@ -173,7 +173,7 @@ let explain_tests =
     test "count-optimized nests are flagged by EXPLAIN ANALYZE" (fun () ->
         let out =
           with_pushdown true (fun () ->
-              Xq_rewrite.Explain.analyze_query ~timings:false
+              Xq_rewrite.Explain.analyze_query ~timings:false ~parallel:1
                 ~context_node:(doc_of litedata) (Parser.parse_query opt_query))
         in
         check_bool "flagged" true (contains out "agg-pushdown=1"));

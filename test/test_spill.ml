@@ -418,7 +418,7 @@ let explain_tests =
           let g = Governor.create ?spill_watermark_bytes:watermark () in
           Governor.with_governor g (fun () ->
               Xq_rewrite.Explain.analyze_query ~timings:false
-                ~strategy:Optimizer.Hash ~context_node:doc
+                ~strategy:Optimizer.Hash ~parallel:1 ~context_node:doc
                 (Xq.parse diff_query))
         in
         let spilled = analyze (Some 1) in
@@ -428,6 +428,67 @@ let explain_tests =
         let unspilled = analyze None in
         check_bool "absent when nothing spills" false
           (contains_sub unspilled "spilled="));
+  ]
+
+(* The statistics of a governed, spilling run: each operator's spill
+   figures are self deltas on the chain, so they add up to the
+   governor's totals; times are self times, never negative; and counts
+   do not depend on where vector boundaries fall. *)
+let attribution_tests =
+  [
+    test "per-operator spill figures add up to the governor's" (fun () ->
+        let doc = random_doc (Prng.create 0x5b112) in
+        let run batch =
+          Xq_par.Batch.set_size (Some batch);
+          let g = Governor.create ~spill_watermark_bytes:1 () in
+          let parts =
+            Governor.with_governor g (fun () ->
+                Exec.analyze_query ~strategy:Optimizer.Hash ~parallel:1
+                  ~context_node:doc (Xq.parse diff_query))
+          in
+          match parts with
+          | [ Exec.Analyzed_plan (_, _, stats) ] -> (stats, Governor.stats g)
+          | _ -> Alcotest.fail "expected one analyzed plan"
+        in
+        Fun.protect ~finally:(fun () -> Xq_par.Batch.set_size None)
+        @@ fun () ->
+        let counts (stats : Exec.Stats.t) =
+          List.map
+            (fun (e : Exec.Stats.entry) ->
+              (e.label, e.rows_in, e.rows_out, e.groups_built))
+            stats
+        in
+        let sums = ref [] in
+        List.iter
+          (fun batch ->
+            let stats, gs = run batch in
+            let sum f = List.fold_left (fun n e -> n + f e) 0 stats in
+            check_bool "the run spilled" true (gs.Governor.s_spill_files > 0);
+            check_int
+              (Printf.sprintf "batch %d: spilled bytes" batch)
+              gs.Governor.s_spilled_bytes
+              (sum (fun e -> e.Exec.Stats.spilled_bytes));
+            check_int
+              (Printf.sprintf "batch %d: spill files" batch)
+              gs.Governor.s_spill_files
+              (sum (fun e -> e.Exec.Stats.spill_files));
+            check_int
+              (Printf.sprintf "batch %d: repartitions" batch)
+              gs.Governor.s_repartitions
+              (sum (fun e -> e.Exec.Stats.repartitions));
+            List.iter
+              (fun (e : Exec.Stats.entry) ->
+                check_bool
+                  (Printf.sprintf "batch %d: %s elapsed >= 0" batch e.label)
+                  true (e.elapsed_ms >= 0.))
+              stats;
+            sums := counts stats :: !sums)
+          [ 1; 4096 ];
+        match !sums with
+        | [ at_4096; at_1 ] ->
+          check_bool "rows in/out and groups equal at batch 1 and 4096" true
+            (at_1 = at_4096)
+        | _ -> assert false);
   ]
 
 (* --- I/O fault injection --------------------------------------------------- *)
@@ -520,5 +581,6 @@ let suites =
     ("spill.group", group_tests);
     ("spill.differential", differential_tests);
     ("spill.explain", explain_tests);
+    ("spill.attribution", attribution_tests);
     ("spill.faults", fault_tests);
   ]

@@ -346,7 +346,7 @@ let shape_tests =
 
 let instrumentation_tests =
   [
-    test "run_instrumented reports per-operator rows and groups" (fun () ->
+    test "counted chain reports per-operator rows and groups" (fun () ->
         let doc =
           Xq_xml.Xml_parse.parse
             "<r><i><k>a</k></i><i><k>b</k></i><i><k>a</k></i></r>"
@@ -361,7 +361,9 @@ let instrumentation_tests =
           | _ -> Alcotest.fail "expected FLWOR"
         in
         let ctx = Exec.query_context ~context_node:doc q in
-        let result, stats = Exec.run_instrumented ctx plan in
+        let stats = ref [] in
+        let result = Exec.run ~stats ~parallel:1 ctx plan in
+        let stats = !stats in
         check_int "one entry per operator plus RETURN"
           (Plan.size plan.Plan.pipeline + 1)
           (List.length stats);
@@ -381,7 +383,7 @@ let instrumentation_tests =
           "duplicate keys force deep-equal probes" true
           (group.Exec.Stats.cmp_calls > 0);
         check_int "expand rows out" 3 (by_label "FOR-EXPAND $i").Exec.Stats.rows_out);
-    test "run_instrumented matches plain execution under every strategy"
+    test "counted chain matches plain execution under every strategy"
       (fun () ->
         let rng = Prng.create 7 in
         let doc = random_doc rng in
@@ -396,7 +398,9 @@ let instrumentation_tests =
                 Optimizer.apply_strategy strategy (Plan.of_flwor f)
               | _ -> Alcotest.fail "expected FLWOR"
             in
-            let result, stats = Exec.run_instrumented ctx plan in
+            let stats = ref [] in
+            let result = Exec.run ~stats ~parallel:1 ctx plan in
+            let stats = !stats in
             Alcotest.(check string) label expected (serialize result);
             let grouping =
               List.find
@@ -408,6 +412,34 @@ let instrumentation_tests =
               (label ^ " counts comparator work") true
               (grouping.Exec.Stats.cmp_calls >= 0))
           strategies);
+  ]
+
+(* EXPLAIN ANALYZE runs the query at its own degree: with no [~parallel],
+   the process default (here 4) reaches the grouping operator. *)
+let degree_tests =
+  [
+    test "analysis runs at the process default degree" (fun () ->
+        let doc = random_doc (Prng.create 11) in
+        let saved = Xq_par.Par.get_override () in
+        Fun.protect ~finally:(fun () -> Xq_par.Par.set_override saved)
+        @@ fun () ->
+        Xq_par.Par.set_default_degree 4;
+        let out =
+          Xq_rewrite.Explain.analyze_query ~timings:false
+            ~strategy:Optimizer.Hash ~context_node:doc
+            (Xq_lang.Parser.parse_query
+               "for $i in //i group by $i/k into $k nest $i into $is \
+                return <g>{$k, count($is)}</g>")
+        in
+        let has sub line =
+          let n = String.length line and m = String.length sub in
+          let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
+          go 0
+        in
+        match List.find_opt (has "HASH-GROUP") (String.split_on_char '\n' out) with
+        | Some line ->
+          Alcotest.(check bool) ("par=4 on " ^ line) true (has " par=4" line)
+        | None -> Alcotest.failf "no grouping line in\n%s" out);
   ]
 
 (* --- nested FLWORs run on the operator chain -------------------------------- *)
@@ -519,6 +551,7 @@ let suites =
     ("strategies.sort-group", sort_group_tests);
     ("strategies.plans", shape_tests);
     ("strategies.instrumentation", instrumentation_tests);
+    ("strategies.degree", degree_tests);
     ("strategies.nested", nested_tests);
     ("strategies.order", List.map to_alcotest order_props);
   ]

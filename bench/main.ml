@@ -398,18 +398,18 @@ return <r>{$a, count($items)}</r>|}
   let query = Xq.parse q_src in
   Xq.check query;
   let sizes = if full then [ 8_000; 16_000; 32_000 ] else [ 8_000; 16_000 ] in
+  (* each mode is a query configuration; the presize feedback registry
+     is the one process-wide switch left to flip *)
   let configure = function
     | `Item ->
-      Xq.Batch.set_size (Some 1);
-      Xq.Engine.Key.set_interning_available false;
-      Xq.Algebra.Optimizer.set_estimate_feedback false
+      Xq.Algebra.Optimizer.set_estimate_feedback false;
+      Xq.Config.resolve ~batch:1 ~dict:false ()
     | `Batched ->
-      Xq.Batch.set_size None;
-      Xq.Engine.Key.set_interning_available true;
-      Xq.Algebra.Optimizer.set_estimate_feedback true
+      Xq.Algebra.Optimizer.set_estimate_feedback true;
+      Xq.Config.resolve ()
   in
   Fun.protect
-    ~finally:(fun () -> configure `Batched)
+    ~finally:(fun () -> ignore (configure `Batched))
     (fun () ->
       List.iter
         (fun (tax_card, lineitems) ->
@@ -419,16 +419,16 @@ return <r>{$a, count($items)}</r>|}
               (Xq.Algebra.Exec.eval_query ~check:false ~context_node:doc query)
           in
           let measure mode label =
-            configure mode;
+            let config = configure mode in
             let ms =
               Timing.measure_ms ~runs:3 (fun () ->
-                  Xq.Algebra.Exec.eval_query ~check:false
+                  Xq.Algebra.Exec.eval_query ~check:false ~config
                     ~strategy:Xq.Algebra.Optimizer.Hash ~context_node:doc
                     query)
             in
-            (* record's batch default reads the size [configure] set *)
             record ~bench:"ablation-batch" ~query:"tax-group-order"
-              ~size:lineitems ~groups ~strategy:label ~parallel:1 ~ms ();
+              ~size:lineitems ~groups ~strategy:label ~parallel:1
+              ~batch:config.Xq.Config.batch ~ms ();
             ms
           in
           let t_item = measure `Item "hash-item" in
@@ -788,13 +788,7 @@ let ablation_agg () =
   let q = Xq.parse (Queries.q_agg "tax") in
   Xq.check qgb;
   Xq.check q;
-  let with_pushdown enabled f =
-    let saved = Xq.Algebra.Optimizer.agg_pushdown_on () in
-    Xq.Algebra.Optimizer.set_agg_pushdown enabled;
-    Fun.protect
-      ~finally:(fun () -> Xq.Algebra.Optimizer.set_agg_pushdown saved)
-      f
-  in
+  let pushdown enabled = Xq.Config.resolve ~agg_pushdown:enabled () in
   let watermark = 256 * 1024 in
   let strategy = Xq.Algebra.Optimizer.Hash in
   List.iter
@@ -810,19 +804,19 @@ let ablation_agg () =
         let last_gov = ref None in
         let ms =
           Timing.measure_ms ~runs:3 (fun () ->
-              with_pushdown enabled (fun () ->
-                  if spill then begin
-                    let gov =
-                      Xq.Governor.create ~spill_watermark_bytes:watermark ()
-                    in
-                    last_gov := Some gov;
-                    Xq.Governor.with_governor gov (fun () ->
-                        Xq.Algebra.Exec.eval_query ~check:false ~strategy
-                          ~context_node:doc qgb)
-                  end
-                  else
-                    Xq.Algebra.Exec.eval_query ~check:false ~strategy
-                      ~context_node:doc qgb))
+              let config = pushdown enabled in
+              if spill then begin
+                let gov =
+                  Xq.Governor.create ~spill_watermark_bytes:watermark ()
+                in
+                last_gov := Some gov;
+                Xq.Governor.with_governor gov (fun () ->
+                    Xq.Algebra.Exec.eval_query ~check:false ~config ~strategy
+                      ~context_node:doc qgb)
+              end
+              else
+                Xq.Algebra.Exec.eval_query ~check:false ~config ~strategy
+                  ~context_node:doc qgb)
         in
         let spilled, files =
           match !last_gov with
@@ -865,15 +859,14 @@ let ablation_agg () =
           let last_gov = ref None in
           let ms =
             Timing.measure_ms ~runs:3 (fun () ->
-                with_pushdown enabled (fun () ->
-                    let gov =
-                      Xq.Governor.create ~spill_watermark_bytes:watermark ()
-                    in
-                    last_gov := Some gov;
-                    Xq.Governor.with_governor gov (fun () ->
-                        Xq.Algebra.Exec.eval_query_stream ~check:false
-                          ~strategy ~source:(`String xml) ~path ~var
-                          ~positional qgb)))
+                let gov =
+                  Xq.Governor.create ~spill_watermark_bytes:watermark ()
+                in
+                last_gov := Some gov;
+                Xq.Governor.with_governor gov (fun () ->
+                    Xq.Algebra.Exec.eval_query_stream ~check:false
+                      ~config:(pushdown enabled) ~strategy
+                      ~source:(`String xml) ~path ~var ~positional qgb))
           in
           let s = Xq.Governor.stats (Option.get !last_gov) in
           record ~bench:"ablation-agg" ~query:label ~size:lineitems ~groups

@@ -32,24 +32,13 @@ let with_errors f =
     | None -> raise e
   end
 
-(* Install a governor built from --timeout/--max-groups/--max-mem/
-   --spill-at and the environment for the duration of [f]; [f] receives
-   the governor so commands can report its stats. *)
-let governed ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes f =
-  match
-    Xq.Governor.of_limits ?timeout_ms ?max_groups ?max_mem_mb
-      ?spill_watermark_bytes ()
-  with
-  | None -> f None
-  | Some g -> Xq.Governor.with_governor g (fun () -> f (Some g))
-
-(* Route --spill-dir / --no-spill to the spill-file manager before any
-   grouping runs. *)
-let apply_spill ~spill_dir ~no_spill =
-  (match spill_dir with
-   | Some _ as d -> Xq.Spill.set_dir d
-   | None -> ());
-  if no_spill then Xq.Spill.set_enabled false
+(* The flags [Pipeline.knobs] does not carry, as the configuration the
+   knobs then override. Flag-less, each falls back to the environment. *)
+let base_config ~spill_dir ~no_spill ~no_agg_pushdown =
+  Xq.Config.resolve ?spill_dir
+    ?spill:(if no_spill then Some false else None)
+    ?agg_pushdown:(if no_agg_pushdown then Some false else None)
+    ()
 
 (* One stderr line when the query actually spilled, so operators see the
    degraded mode without turning on profiling. *)
@@ -236,24 +225,9 @@ let stream_flag =
   in
   Arg.(value & vflag None [ on; off ])
 
-(* --stream/--no-stream beats XQ_STREAM beats the silent default. *)
-let stream_knob = function
-  | Some _ as explicit -> explicit
-  | None -> (
-    match Sys.getenv_opt "XQ_STREAM" with
-    | Some ("0" | "false" | "no") -> Some false
-    | Some _ -> Some true
-    | None -> None)
-
 let load_input = function
   | Some path -> Xq.load_file path
   | None -> Xq.load_string "<empty/>"
-
-(* Make --parallel the process default, as [Pipeline.run] does for
-   run/eval. *)
-let apply_parallel = function
-  | Some n -> Xq.Par.set_default_degree n
-  | None -> ()
 
 (* All evaluation flows through the shared pipeline — the same
    compile-and-run path the REPL, fuzzer and query server use — so the
@@ -263,8 +237,7 @@ let run_common ~source ~input ~rewrite ~indent ~time ~explain_analyze ~strategy
     ~parallel ~batch ~timeout ~max_groups ~max_mem ~spill_at ~spill_dir
     ~no_spill ~stream ~no_agg_pushdown =
   with_errors (fun () ->
-      apply_spill ~spill_dir ~no_spill;
-      if no_agg_pushdown then Xq.Algebra.Optimizer.set_agg_pushdown false;
+      let config = base_config ~spill_dir ~no_spill ~no_agg_pushdown in
       let knobs =
         Xq.Pipeline.
           {
@@ -276,7 +249,7 @@ let run_common ~source ~input ~rewrite ~indent ~time ~explain_analyze ~strategy
             k_max_groups = max_groups;
             k_max_mem_mb = max_mem;
             k_spill_at_mb = spill_at;
-            k_stream = stream_knob stream;
+            k_stream = stream;
           }
       in
       (* a file input goes to the pipeline as a streamable source (it
@@ -285,10 +258,10 @@ let run_common ~source ~input ~rewrite ~indent ~time ~explain_analyze ~strategy
       let report =
         match input with
         | Some path ->
-          Xq.Pipeline.run ~knobs ~indent ~explain_analyze ~source
+          Xq.Pipeline.run ~config ~knobs ~indent ~explain_analyze ~source
             ~stream_source:(`File path) ()
         | None ->
-          Xq.Pipeline.run ~knobs ~indent ~explain_analyze ~source
+          Xq.Pipeline.run ~config ~knobs ~indent ~explain_analyze ~source
             ~load_doc:(fun () -> load_input input)
             ()
       in
@@ -382,13 +355,18 @@ let profile_cmd =
   let action qf input optimize strategy parallel batch timeout max_groups
       max_mem spill_at spill_dir no_spill =
     with_errors (fun () ->
-      apply_spill ~spill_dir ~no_spill;
-      governed ?timeout_ms:timeout ?max_groups ?max_mem_mb:max_mem
-        ?spill_watermark_bytes:
-          (Option.map (fun mb -> mb * 1024 * 1024) spill_at)
-        (fun gov ->
-        apply_parallel parallel;
-        (match batch with Some n -> Xq.Batch.set_size (Some n) | None -> ());
+      let config =
+        Xq.Config.resolve
+          ~base:(base_config ~spill_dir ~no_spill ~no_agg_pushdown:false)
+          ?strategy ?parallel ?batch ?timeout_ms:timeout ?max_groups
+          ?max_mem_mb:max_mem ?spill_at_mb:spill_at ()
+      in
+      let governed f =
+        match Xq.Governor.of_config config with
+        | None -> f None
+        | Some g -> Xq.Governor.with_governor g (fun () -> f (Some g))
+      in
+      governed (fun gov ->
         let doc = load_input input in
         (match gov with
          | Some g -> Xq.Governor.rebaseline g
@@ -398,8 +376,8 @@ let profile_cmd =
         match
           match query.Xq.Lang.Ast.body with
           | Xq.Lang.Ast.Flwor _ ->
-            Xq.Algebra.Exec.analyze_query ~optimize ?strategy ?parallel
-              ~context_node:doc query
+            Xq.Algebra.Exec.analyze_query ~config ~optimize ~context_node:doc
+              query
           | _ -> []
         with
         | [ Xq.Algebra.Exec.Analyzed_plan (plan, result, stats) ] ->

@@ -5,6 +5,7 @@ module Smap = Map.Make (String)
 module Par = Xq_par.Par
 module Governor = Xq_governor.Governor
 module Clock = Xq_governor.Clock
+module Config = Xq_governor.Config
 
 type tuple = Xseq.t Smap.t
 
@@ -223,13 +224,13 @@ let shape_parallel_keys ctx (shape : Plan.group_shape) =
 (* --- batched pipeline --------------------------------------------------- *)
 
 (* The executor is batch-at-a-time: tuples flow between operators in
-   vectors of [Batch.size ()] (default 4096, [XQ_BATCH]/[--batch]), so
+   vectors of the query's batch size ([Config.batch], default 4096), so
    per-tuple dispatch, governor bookkeeping and domain-pool task setup
    amortize over a whole vector. Each operator is a sink: [push] consumes
    one vector, [close] flushes whatever the operator buffered (expansion
    remainders, the sort's accumulated input, a group builder) and closes
    downstream. [Unit] is the source — its [close] injects the seed tuple
-   and drives the cascade. At [XQ_BATCH=1] the same code degenerates to
+   and drives the cascade. At batch size 1 the same code degenerates to
    item-at-a-time execution (every vector is a singleton), which is the
    bench ablation's baseline mode.
 
@@ -238,8 +239,6 @@ let shape_parallel_keys ctx (shape : Plan.group_shape) =
    the group builders — see {!Xq_engine.Group.builder}) are defined over
    the concatenated stream, which is independent of where vector
    boundaries fall. *)
-
-module Batch = Xq_par.Batch
 
 type vec = tuple array
 
@@ -518,7 +517,7 @@ let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
         Xq_engine.Group.builder ?tally ?presize ~spill:agg_codec ~cost:row_cost
           ~reduce:merge_rows ~parallel
           ~parallel_keys:(parallel > 1) (* keys_of is a pure field read *)
-          ~mode
+          ~config:(Xq_engine.Context.config ctx) ~mode
           ~keys_of:(fun r -> r.ar_keys)
           ()
       in
@@ -552,7 +551,7 @@ let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
         Xq_engine.Group.builder ?tally ?presize ~spill:tuple_codec ?cost
           ~parallel
           ~parallel_keys:(parallel > 1 && shape_parallel_keys ctx shape)
-          ~mode
+          ~config:(Xq_engine.Context.config ctx) ~mode
           ~keys_of:(shape_keys_of ctx shape)
           ()
       in
@@ -778,8 +777,8 @@ let return_sink ctx (plan : Plan.plan) =
   in
   (final, fun () -> Xseq.concat (List.rev !rev_out))
 
-let run ?stats ~parallel ctx (plan : Plan.plan) =
-  let batch = Batch.size () in
+let run ?stats ctx (plan : Plan.plan) =
+  let { Config.batch; parallel; _ } = Xq_engine.Context.config ctx in
   let ops = linearize plan.Plan.pipeline in
   let final, result = return_sink ctx plan in
   let chain, meters =
@@ -799,32 +798,28 @@ let run ?stats ~parallel ctx (plan : Plan.plan) =
 
 (* The one place a FLWOR becomes an executable plan: compile, pick the
    grouping operator, push aggregates, optionally optimize. *)
-let plan_flwor ?(optimize = false) ~strategy f =
-  let plan = Plan.of_flwor f in
-  let plan = Optimizer.apply_strategy strategy plan in
-  let plan = Optimizer.push_aggregates plan in
+let plan_flwor ?(optimize = false) ~(config : Config.t) f =
+  let plan = Optimizer.apply_strategy config.strategy (Plan.of_flwor f) in
+  let plan =
+    if config.agg_pushdown then Optimizer.push_aggregates plan else plan
+  in
   if optimize then Optimizer.optimize plan else plan
 
-(* A query's settings when the caller gives none: [XQ_GROUP_STRATEGY]
-   (else hash) and the process default degree. *)
-let strategy_or_env = function
-  | Some s -> s
-  | None -> Optimizer.strategy_from_env ()
+let plan_in ?optimize ctx f =
+  plan_flwor ?optimize ~config:(Xq_engine.Context.config ctx) f
 
-let degree_or_default = function
-  | Some p -> p
-  | None -> Par.default_degree ()
-
-(* Dynamic context for a query: prolog, the fn:doc/fn:collection
-   registry, the FLWOR runner, focus on the context node, then the
-   prolog's global variables (evaluated in order — they may hold FLWORs
-   themselves, so the runner goes in first). *)
-let query_context ?optimize ?strategy ?parallel ?(documents = [])
+(* Dynamic context for a query: its configuration (resolved here, once),
+   prolog, the fn:doc/fn:collection registry, the FLWOR runner, focus on
+   the context node, then the prolog's global variables (evaluated in
+   order — they may hold FLWORs themselves, so the runner goes in
+   first). *)
+let query_context ?config ?optimize ?strategy ?parallel ?(documents = [])
     ?(collections = []) ?default_collection ~context_node (q : Ast.query) =
-  let strategy = strategy_or_env strategy in
-  let parallel = degree_or_default parallel in
   let module C = Xq_engine.Context in
-  let ctx = C.of_prolog q.Ast.prolog in
+  let ctx =
+    C.with_config (C.of_prolog q.Ast.prolog)
+      (Config.resolve ?base:config ?strategy ?parallel ())
+  in
   let ctx =
     List.fold_left (fun ctx (uri, d) -> C.add_document ctx ~uri d) ctx documents
   in
@@ -839,8 +834,7 @@ let query_context ?optimize ?strategy ?parallel ?(documents = [])
     | None -> ctx
   in
   let ctx =
-    C.with_flwor_runner ctx (fun ctx f ->
-        run ~parallel ctx (plan_flwor ?optimize ~strategy f))
+    C.with_flwor_runner ctx (fun ctx f -> run ctx (plan_in ?optimize ctx f))
   in
   let ctx =
     C.with_focus ctx { C.item = Item.Node context_node; position = 1; size = 1 }
@@ -849,32 +843,33 @@ let query_context ?optimize ?strategy ?parallel ?(documents = [])
     (fun ctx (v, e) -> C.bind_global ctx v (Xq_engine.Eval.eval ctx e))
     ctx q.Ast.prolog.Ast.global_vars
 
-let eval_query ?(check = true) ?optimize ?strategy ?parallel ?documents
-    ?collections ?default_collection ~context_node (q : Ast.query) =
+let eval_query ?(check = true) ?config ?optimize ?strategy ?parallel
+    ?documents ?collections ?default_collection ~context_node (q : Ast.query) =
   if check then Static.check_query q;
   Xq_engine.Eval.eval
-    (query_context ?optimize ?strategy ?parallel ?documents ?collections
-       ?default_collection ~context_node q)
+    (query_context ?config ?optimize ?strategy ?parallel ?documents
+       ?collections ?default_collection ~context_node q)
     q.Ast.body
 
-let run_string ?optimize ?strategy ?parallel ~context_node src =
-  eval_query ?optimize ?strategy ?parallel ~context_node
+let run_string ?config ?optimize ?strategy ?parallel ~context_node src =
+  eval_query ?config ?optimize ?strategy ?parallel ~context_node
     (Parser.parse_query src)
 
 type analyzed =
   | Analyzed_plan of Plan.plan * Xseq.t * Stats.t
   | Analyzed_expr of Xseq.t
 
-let analyze_query ?optimize ?strategy ?parallel ~context_node (q : Ast.query) =
-  let strategy = strategy_or_env strategy in
-  let parallel = degree_or_default parallel in
-  let ctx = query_context ?optimize ~strategy ~parallel ~context_node q in
+let analyze_query ?config ?optimize ?strategy ?parallel ~context_node
+    (q : Ast.query) =
+  let ctx =
+    query_context ?config ?optimize ?strategy ?parallel ~context_node q
+  in
   let rec go (e : Ast.expr) =
     match e with
     | Ast.Flwor f ->
-      let plan = plan_flwor ?optimize ~strategy f in
+      let plan = plan_in ?optimize ctx f in
       let stats = ref [] in
-      let result = run ~stats ~parallel ctx plan in
+      let result = run ~stats ctx plan in
       [ Analyzed_plan (plan, result, !stats) ]
     | Ast.Sequence es -> List.concat_map go es
     | other -> [ Analyzed_expr (Xq_engine.Eval.eval ctx other) ]
@@ -893,17 +888,22 @@ let analyze_query ?optimize ?strategy ?parallel ~context_node (q : Ast.query) =
    memory pressure sees parse-ahead data; the governor's stream mode
    additionally switches group spilling to the detached by-value codec,
    which is what lets spilled members actually release heap. *)
-let eval_query_stream ?(check = true) ?optimize ?strategy ?parallel
+let eval_query_stream ?(check = true) ?config ?optimize ?strategy ?parallel
     ?keep_whitespace ~source ~path ~var ~positional (q : Ast.query) =
   if check then Static.check_query q;
-  let strategy = strategy_or_env strategy in
-  let parallel = degree_or_default parallel in
   let f =
     match q.Ast.body with
     | Ast.Flwor f -> f
     | _ -> invalid_arg "Exec.eval_query_stream: body is not a FLWOR"
   in
-  let plan = plan_flwor ?optimize ~strategy f in
+  (* the focus never escapes into the query (the projection verdict
+     rejects free context items), so an empty document stands in *)
+  let ctx =
+    query_context ?config ?optimize ?strategy ?parallel
+      ~context_node:(Node.document ()) q
+  in
+  let { Config.batch; parallel; _ } = Xq_engine.Context.config ctx in
+  let plan = plan_in ?optimize ctx f in
   let rest =
     match linearize plan.Plan.pipeline with
     | Plan.Unit :: Plan.For_expand { var = v; _ } :: rest when v = var -> rest
@@ -911,13 +911,6 @@ let eval_query_stream ?(check = true) ?optimize ?strategy ?parallel
       invalid_arg
         "Exec.eval_query_stream: plan does not start with the streamed binding"
   in
-  (* the focus never escapes into the query (the projection verdict
-     rejects free context items), so an empty document stands in *)
-  let ctx =
-    query_context ?optimize ~strategy ~parallel ~context_node:(Node.document ())
-      q
-  in
-  let batch = Batch.size () in
   let final, result = return_sink ctx plan in
   (* parse-ahead accounting: emitted subtrees stay charged until their
      vector is consumed downstream (whose own accounting then sees them

@@ -39,7 +39,7 @@ module Stats : sig
     batches : int;
         (** input vectors the operator consumed (1 for small inputs;
             0 for sources) *)
-    batch : int;         (** configured batch size ([XQ_BATCH]/[--batch]) *)
+    batch : int;         (** the query's batch size ([Config.batch]) *)
     par : int;
         (** domain-pool degree available to this operator (1 when the
             operator cannot parallelize) *)
@@ -55,40 +55,40 @@ module Stats : sig
 end
 
 (** Execute a plan in a dynamic context (as built by the engine) as a
-    pipelined chain of sinks. [parallel] is the domain-pool degree for
-    grouping, sorting and parallel-safe let/where operators; output is
-    byte-identical at any degree. With [stats], each operator's sink and
+    pipelined chain of sinks, at the context's batch size and degree
+    ({!Xq_engine.Context.config}); output is byte-identical at any
+    setting. With [stats], each operator's sink and
     the return clause's are wrapped in counters and [stats] is set to
     their figures when the run finishes (time, key walks, interns and
     spill figures are self deltas: the operator's own minus those of the
     operators downstream). Without it the chain carries no counters. *)
-val run :
-  ?stats:Stats.t ref -> parallel:int -> Xq_engine.Context.t -> Plan.plan ->
-  Xseq.t
+val run : ?stats:Stats.t ref -> Xq_engine.Context.t -> Plan.plan -> Xseq.t
 
 (** {1 Queries}
 
     Every FLWOR of a query — top-level, nested inside another expression,
     in a global variable or in a function body — executes as a {!Plan}
     operator chain: the context a query runs in carries a FLWOR runner
-    ({!Xq_engine.Context.run_flwor}) that {!query_context} installs with
-    the query's [optimize], [strategy] and [parallel] settings. *)
+    ({!Xq_engine.Context.run_flwor}) that {!query_context} installs. *)
 
 (** The one place a FLWOR becomes a plan: {!Plan.of_flwor}, then
-    {!Optimizer.apply_strategy}, {!Optimizer.push_aggregates} and, when
+    {!Optimizer.apply_strategy} of [config]'s strategy,
+    {!Optimizer.push_aggregates} when [config] allows it and, when
     [optimize] is set, {!Optimizer.optimize}. *)
 val plan_flwor :
-  ?optimize:bool -> strategy:Optimizer.group_strategy -> Xq_lang.Ast.flwor ->
+  ?optimize:bool -> config:Xq_governor.Config.t -> Xq_lang.Ast.flwor ->
   Plan.plan
 
 (** Build the dynamic context a query executes in: prolog functions, the
     [fn:doc]/[fn:collection] registry ([documents], [collections],
     [default_collection]), the FLWOR runner, the focus on
-    [context_node], and the prolog's global variables. [strategy]
-    defaults to the [XQ_GROUP_STRATEGY] environment variable, else hash;
-    [parallel] to [XQ_PARALLEL], else 1 — results are byte-identical at
-    any setting. *)
+    [context_node], the prolog's global variables, and the query's
+    configuration, resolved here once: [strategy] and [parallel]
+    override [config], which defaults to the environment — [strategy]
+    to [XQ_GROUP_STRATEGY], else hash; [parallel] to [XQ_PARALLEL], else
+    1. Results are byte-identical at any setting. *)
 val query_context :
+  ?config:Xq_governor.Config.t ->
   ?optimize:bool ->
   ?strategy:Optimizer.group_strategy ->
   ?parallel:int ->
@@ -103,6 +103,7 @@ val query_context :
     evaluate the body against the context node. *)
 val eval_query :
   ?check:bool ->
+  ?config:Xq_governor.Config.t ->
   ?optimize:bool ->
   ?strategy:Optimizer.group_strategy ->
   ?parallel:int ->
@@ -115,6 +116,7 @@ val eval_query :
 
 (** Parse, check and execute. *)
 val run_string :
+  ?config:Xq_governor.Config.t ->
   ?optimize:bool ->
   ?strategy:Optimizer.group_strategy ->
   ?parallel:int ->
@@ -131,14 +133,13 @@ type analyzed =
   | Analyzed_expr of Xseq.t  (** any other top-level expression *)
 
 (** Execute the query body for EXPLAIN ANALYZE and [profile]: each
-    top-level FLWOR runs through {!run} with statistics, at the degree
-    and strategy every other FLWOR of the query runs at ([parallel]
-    defaults to [Par.default_degree ()], [strategy] to
-    [XQ_GROUP_STRATEGY], else hash). FLWORs nested inside it run through
+    top-level FLWOR runs through {!run} with statistics, under the
+    configuration of {!query_context}. FLWORs nested inside it run through
     the context's runner as usual, and their cost counts toward the
     operator that evaluated them. Body order; static checking is the
     caller's. *)
 val analyze_query :
+  ?config:Xq_governor.Config.t ->
   ?optimize:bool ->
   ?strategy:Optimizer.group_strategy ->
   ?parallel:int ->
@@ -162,6 +163,7 @@ val analyze_query :
     ([Xml_parse.Parse_error], [XQENG0005], [XQENG0008]). *)
 val eval_query_stream :
   ?check:bool ->
+  ?config:Xq_governor.Config.t ->
   ?optimize:bool ->
   ?strategy:Optimizer.group_strategy ->
   ?parallel:int ->

@@ -119,24 +119,12 @@ let optimize (plan : Plan.plan) =
 
 (* --- grouping-strategy selection ----------------------------------------- *)
 
-type group_strategy = Hash | Sort | Auto
+module Config = Xq_governor.Config
 
-let strategy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "hash" -> Some Hash
-  | "sort" -> Some Sort
-  | "auto" -> Some Auto
-  | _ -> None
+type group_strategy = Config.strategy = Hash | Sort | Auto
 
-let strategy_to_string = function
-  | Hash -> "hash"
-  | Sort -> "sort"
-  | Auto -> "auto"
-
-let strategy_from_env () =
-  match Sys.getenv_opt "XQ_GROUP_STRATEGY" with
-  | None -> Hash
-  | Some s -> Option.value (strategy_of_string s) ~default:Hash
+let strategy_to_string = Config.strategy_to_string
+let strategy_from_env () = (Config.resolve ()).Config.strategy
 
 (* [auto] fuses a downstream sort into the grouping only when the sort
    is exactly on the group's key variables, ascending with default empty
@@ -257,12 +245,6 @@ let estimated_groups ~signature =
      never match the call-site pattern and so fall back to
      materialization. *)
 
-let agg_pushdown_enabled =
-  Atomic.make (Sys.getenv_opt "XQ_NO_AGG_PUSHDOWN" = None)
-
-let set_agg_pushdown b = Atomic.set agg_pushdown_enabled b
-let agg_pushdown_on () = Atomic.get agg_pushdown_enabled
-
 let agg_kind_of_call (name : Xq_xdm.Xname.t) =
   if Xq_xdm.Xname.is_default_fn name then
     Xq_engine.Acc.kind_of_name name.Xq_xdm.Xname.local
@@ -316,119 +298,116 @@ let op_binds_exprs (op : Plan.op) =
           | None -> []) )
 
 let push_aggregates (plan : Plan.plan) =
-  if not (Atomic.get agg_pushdown_enabled) then plan
-  else begin
-    (* locate the topmost grouping operator; collect the binders and
-       consumer expressions of everything above it *)
-    let rec locate above_binds above_exprs op =
-      match op with
-      | Plan.Hash_group shape | Plan.Scan_group shape
-      | Plan.Sort_group { shape; _ } ->
-        Some (above_binds, above_exprs, shape)
-      | Plan.Unit -> None
-      | Plan.For_expand { input; _ }
-      | Plan.Let_bind { input; _ }
-      | Plan.Select { input; _ }
-      | Plan.Number { input; _ }
-      | Plan.Window_expand { input; _ }
-      | Plan.Sort { input; _ } ->
-        let binds, exprs = op_binds_exprs op in
-        locate (binds @ above_binds) (exprs @ above_exprs) input
+  (* locate the topmost grouping operator; collect the binders and
+     consumer expressions of everything above it *)
+  let rec locate above_binds above_exprs op =
+    match op with
+    | Plan.Hash_group shape | Plan.Scan_group shape
+    | Plan.Sort_group { shape; _ } ->
+      Some (above_binds, above_exprs, shape)
+    | Plan.Unit -> None
+    | Plan.For_expand { input; _ }
+    | Plan.Let_bind { input; _ }
+    | Plan.Select { input; _ }
+    | Plan.Number { input; _ }
+    | Plan.Window_expand { input; _ }
+    | Plan.Sort { input; _ } ->
+      let binds, exprs = op_binds_exprs op in
+      locate (binds @ above_binds) (exprs @ above_exprs) input
+  in
+  match locate [] [] plan.Plan.pipeline with
+  | None -> plan
+  | Some (above_binds, above_exprs, shape) ->
+    let nest_vars =
+      List.map (fun (n : Ast.nest_spec) -> n.Ast.nest_var) shape.Plan.nests
     in
-    match locate [] [] plan.Plan.pipeline with
-    | None -> plan
-    | Some (above_binds, above_exprs, shape) ->
-      let nest_vars =
-        List.map (fun (n : Ast.nest_spec) -> n.Ast.nest_var) shape.Plan.nests
-      in
-      let consumers =
-        (* [return at $r] shadows [$r] in the return clause; rejected
-           below when [$r] is a nest variable, so including the return
-           expression unconditionally is sound *)
-        plan.Plan.return_expr :: above_exprs
-      in
-      let shadowed v =
-        List.mem v above_binds
-        || plan.Plan.return_at = Some v
-        || List.exists (Ast_utils.rebinds v) consumers
-      in
-      let classify v =
-        if shadowed v then None
-        else
-          let vars, kinds =
-            List.fold_left
-              (fun (vs, ks) e ->
-                let v', k' = consumption v e in
-                (vs + v', k' @ ks))
-              (0, []) consumers
-          in
-          if vars = 0 then Some []
-          else if vars = List.length kinds then
-            Some (List.filter (fun k -> List.mem k kinds) kind_order)
-          else None
-      in
-      let slots = List.map (fun v -> (v, classify v)) nest_vars in
-      let ok =
-        shape.Plan.aggs = []
-        && List.for_all
-             (fun (n : Ast.nest_spec) -> n.Ast.nest_order = [])
-             shape.Plan.nests
-        && List.for_all (fun (_, c) -> c <> None) slots
-        && List.exists (fun (_, c) -> c <> None && c <> Some []) slots
-      in
-      if not ok then plan
-      else begin
-        let aggs = List.map (fun (v, c) -> (v, Option.get c)) slots in
-        let unwrap_name = Xq_xdm.Xname.make Xq_engine.Acc.unwrap_local in
-        let eligible = List.filter (fun (_, ks) -> ks <> []) aggs in
-        let subst e =
-          Ast_utils.map_exprs
-            (fun sub ->
-              match sub with
-              | Ast.Call (name, [ Ast.Var x ]) when List.mem_assoc x eligible
-                -> begin
-                  match agg_kind_of_call name with
-                  | Some k ->
-                    Some
-                      (Ast.Call
-                         (unwrap_name, [ Ast.Var (Xq_engine.Acc.mangle x k) ]))
-                  | None -> None
-                end
-              | _ -> None)
-            e
+    let consumers =
+      (* [return at $r] shadows [$r] in the return clause; rejected
+         below when [$r] is a nest variable, so including the return
+         expression unconditionally is sound *)
+      plan.Plan.return_expr :: above_exprs
+    in
+    let shadowed v =
+      List.mem v above_binds
+      || plan.Plan.return_at = Some v
+      || List.exists (Ast_utils.rebinds v) consumers
+    in
+    let classify v =
+      if shadowed v then None
+      else
+        let vars, kinds =
+          List.fold_left
+            (fun (vs, ks) e ->
+              let v', k' = consumption v e in
+              (vs + v', k' @ ks))
+            (0, []) consumers
         in
-        let rec rebuild op =
-          match op with
-          | Plan.Hash_group shape -> Plan.Hash_group { shape with aggs }
-          | Plan.Scan_group shape -> Plan.Scan_group { shape with aggs }
-          | Plan.Sort_group { shape; sorted_output } ->
-            Plan.Sort_group { shape = { shape with aggs }; sorted_output }
-          | Plan.Unit -> op
-          | Plan.For_expand r ->
-            Plan.For_expand
-              { r with source = subst r.source; input = rebuild r.input }
-          | Plan.Let_bind r ->
-            Plan.Let_bind { r with expr = subst r.expr; input = rebuild r.input }
-          | Plan.Select r ->
-            Plan.Select { pred = subst r.pred; input = rebuild r.input }
-          | Plan.Number r -> Plan.Number { r with input = rebuild r.input }
-          | Plan.Window_expand r ->
-            Plan.Window_expand { r with input = rebuild r.input }
-          | Plan.Sort r ->
-            Plan.Sort
-              {
-                r with
-                specs = List.map (fun (e, m) -> (subst e, m)) r.specs;
-                input = rebuild r.input;
-              }
-        in
-        {
-          plan with
-          Plan.pipeline = rebuild plan.Plan.pipeline;
-          return_expr = subst plan.Plan.return_expr;
-        }
-      end
-  end
+        if vars = 0 then Some []
+        else if vars = List.length kinds then
+          Some (List.filter (fun k -> List.mem k kinds) kind_order)
+        else None
+    in
+    let slots = List.map (fun v -> (v, classify v)) nest_vars in
+    let ok =
+      shape.Plan.aggs = []
+      && List.for_all
+           (fun (n : Ast.nest_spec) -> n.Ast.nest_order = [])
+           shape.Plan.nests
+      && List.for_all (fun (_, c) -> c <> None) slots
+      && List.exists (fun (_, c) -> c <> None && c <> Some []) slots
+    in
+    if not ok then plan
+    else begin
+      let aggs = List.map (fun (v, c) -> (v, Option.get c)) slots in
+      let unwrap_name = Xq_xdm.Xname.make Xq_engine.Acc.unwrap_local in
+      let eligible = List.filter (fun (_, ks) -> ks <> []) aggs in
+      let subst e =
+        Ast_utils.map_exprs
+          (fun sub ->
+            match sub with
+            | Ast.Call (name, [ Ast.Var x ]) when List.mem_assoc x eligible
+              -> begin
+                match agg_kind_of_call name with
+                | Some k ->
+                  Some
+                    (Ast.Call
+                       (unwrap_name, [ Ast.Var (Xq_engine.Acc.mangle x k) ]))
+                | None -> None
+              end
+            | _ -> None)
+          e
+      in
+      let rec rebuild op =
+        match op with
+        | Plan.Hash_group shape -> Plan.Hash_group { shape with aggs }
+        | Plan.Scan_group shape -> Plan.Scan_group { shape with aggs }
+        | Plan.Sort_group { shape; sorted_output } ->
+          Plan.Sort_group { shape = { shape with aggs }; sorted_output }
+        | Plan.Unit -> op
+        | Plan.For_expand r ->
+          Plan.For_expand
+            { r with source = subst r.source; input = rebuild r.input }
+        | Plan.Let_bind r ->
+          Plan.Let_bind { r with expr = subst r.expr; input = rebuild r.input }
+        | Plan.Select r ->
+          Plan.Select { pred = subst r.pred; input = rebuild r.input }
+        | Plan.Number r -> Plan.Number { r with input = rebuild r.input }
+        | Plan.Window_expand r ->
+          Plan.Window_expand { r with input = rebuild r.input }
+        | Plan.Sort r ->
+          Plan.Sort
+            {
+              r with
+              specs = List.map (fun (e, m) -> (subst e, m)) r.specs;
+              input = rebuild r.input;
+            }
+      in
+      {
+        plan with
+        Plan.pipeline = rebuild plan.Plan.pipeline;
+        return_expr = subst plan.Plan.return_expr;
+      }
+    end
 
 (* Number of aggregate kinds folded into the plan's grouping operator —
    the [agg-pushdown=N] figure EXPLAIN and the stats report. *)

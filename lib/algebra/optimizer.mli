@@ -34,13 +34,12 @@ val optimize : Plan.plan -> Plan.plan
 
     Groupings with a [using] comparator always stay {!Plan.Scan_group}. *)
 
-type group_strategy = Hash | Sort | Auto
+type group_strategy = Xq_governor.Config.strategy = Hash | Sort | Auto
 
-val strategy_of_string : string -> group_strategy option
 val strategy_to_string : group_strategy -> string
 
-(** Reads [XQ_GROUP_STRATEGY] ([hash]/[sort]/[auto]); [Hash] when unset
-    or unrecognized. *)
+(** The environment's strategy ([XQ_GROUP_STRATEGY]: [hash]/[sort]/
+    [auto]); [Hash] when unset or unrecognized. *)
 val strategy_from_env : unit -> group_strategy
 
 val apply_strategy : group_strategy -> Plan.plan -> Plan.plan
@@ -76,7 +75,9 @@ val set_estimate_feedback : bool -> unit
     in a consumer expression, and [nest ... order by] disables the
     rewrite. Results are byte-identical either way; the rewrite is a
     plan-shape and resource change only. Apply after strategy selection
-    and before {!optimize}. *)
+    and before {!optimize}; [Exec.plan_flwor] applies it when the
+    query's [Config.agg_pushdown] is on ([--no-agg-pushdown] /
+    [XQ_NO_AGG_PUSHDOWN] turn it off). *)
 
 val push_aggregates : Plan.plan -> Plan.plan
 
@@ -84,12 +85,3 @@ val push_aggregates : Plan.plan -> Plan.plan
     (the [agg-pushdown=N] figure in EXPLAIN); [0] when the rewrite did
     not apply. *)
 val agg_pushdown_count : Plan.plan -> int
-
-(** Kill switch ([false] disables {!push_aggregates}; initialized to
-    disabled when [XQ_NO_AGG_PUSHDOWN] is set in the environment). *)
-val set_agg_pushdown : bool -> unit
-
-(** The switch's current state — lets harnesses that toggle it (the
-    fuzzer's rewrite differential, the test sweeps) restore whatever
-    the environment established rather than assuming [true]. *)
-val agg_pushdown_on : unit -> bool

@@ -1,26 +1,4 @@
-let default_size = 4096
-let min_size = 1
-let max_size = 1 lsl 20
-let clamp n = if n < min_size then min_size else if n > max_size then max_size else n
+module Config = Xq_governor.Config
 
-(* 0 = no override; the env value is re-read on each resolution after a
-   reset so tests can flip XQ_BATCH without re-execing. *)
-let override = Atomic.make 0
-
-let env_size () =
-  match Sys.getenv_opt "XQ_BATCH" with
-  | None | Some "" -> default_size
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n > 0 -> clamp n | _ -> default_size)
-
-let size () =
-  let o = Atomic.get override in
-  if o > 0 then o else env_size ()
-
-let set_size = function
-  | None -> Atomic.set override 0
-  | Some n -> Atomic.set override (clamp n)
-
-let get_override () =
-  match Atomic.get override with 0 -> None | n -> Some n
-
-let batched () = size () > 1
+let default_size = Config.default_batch
+let size () = (Config.resolve ()).Config.batch

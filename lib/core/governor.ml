@@ -56,6 +56,7 @@ type t = {
                              [max_int] = spilling off *)
   max_input_bytes : int option;
   max_depth : int option;
+  config : Config.t;  (* the query's; [Spill] reads its spill settings *)
   baseline_heap_words : int Atomic.t;  (* reset by [rebaseline] *)
   ticks : int Atomic.t;
   groups : int Atomic.t;
@@ -100,7 +101,7 @@ let heap_words_now () =
   if h > 0 then h else (Gc.stat ()).Gc.heap_words
 
 let create ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes
-    ?max_input_bytes ?max_depth () =
+    ?max_input_bytes ?max_depth ?config () =
   let max_mem_bytes =
     match max_mem_mb with
     | Some n when n >= 0 -> n * 1024 * 1024
@@ -120,6 +121,8 @@ let create ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes
        | Some _ | None -> max_int);
     max_input_bytes;
     max_depth;
+    config =
+      (match config with Some c -> c | None -> Config.resolve ());
     baseline_heap_words = Atomic.make (heap_words_now ());
     ticks = Atomic.make 0;
     groups = Atomic.make 0;
@@ -183,7 +186,7 @@ let faults_initialized = Atomic.make false
 
 let faults () =
   if not (Atomic.get faults_initialized) then begin
-    (match Sys.getenv_opt "XQ_FAULTS" with
+    (match (Config.resolve ()).Config.faults with
      | Some s -> Atomic.set faults_config (parse_faults s)
      | None -> ());
     Atomic.set faults_initialized true
@@ -683,43 +686,36 @@ let summary g =
          s.s_spilled_bytes s.s_spill_files s.s_repartitions
      else "")
 
-(* --- building a governor from CLI flags and the environment --------------- *)
+(* --- building a governor from a query's configuration -------------------- *)
 
-let env_int name =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> Some n
-    | Some _ | None -> None)
-
-let of_limits ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes () =
-  let first a b = match a with Some _ -> a | None -> b in
-  let timeout_ms = first timeout_ms (env_int "XQ_TIMEOUT") in
-  let max_groups = first max_groups (env_int "XQ_MAX_GROUPS") in
-  let max_mem_mb = first max_mem_mb (env_int "XQ_MAX_MEM") in
-  let spill_watermark_bytes =
-    first spill_watermark_bytes
-      (Option.map (fun mb -> mb * 1024 * 1024) (env_int "XQ_SPILL_AT"))
-  in
+let of_config ?(force = false) ?spill_watermark_bytes (c : Config.t) =
+  let mb n = n * 1024 * 1024 in
   (* CLI semantics: a hard memory budget arms spilling at half the trip
      point, so governed queries degrade before they die. In-process
      callers of [create] get no such default — existing budget tests
      keep their exact hard-trip behaviour. *)
   let spill_watermark_bytes =
-    match spill_watermark_bytes, max_mem_mb with
-    | None, Some mb -> Some (mb * 1024 * 1024 / 2)
-    | w, _ -> w
+    match (spill_watermark_bytes, c.spill_at_mb, c.max_mem_mb) with
+    | (Some _ as w), _, _ -> w
+    | None, Some at, _ -> Some (mb at)
+    | None, None, Some budget -> Some (mb budget / 2)
+    | None, None, None -> None
   in
-  let max_input_bytes = env_int "XQ_MAX_INPUT" in
-  let max_depth = env_int "XQ_MAX_DEPTH" in
   if
-    timeout_ms = None && max_groups = None && max_mem_mb = None
-    && spill_watermark_bytes = None && max_input_bytes = None
-    && max_depth = None
+    (not force) && c.timeout_ms = None && c.max_groups = None
+    && c.max_mem_mb = None && spill_watermark_bytes = None
+    && c.max_input_bytes = None && c.max_depth = None
     && not (faults_enabled ())
   then None
   else
     Some
-      (create ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes
-         ?max_input_bytes ?max_depth ())
+      (create ?timeout_ms:c.timeout_ms ?max_groups:c.max_groups
+         ?max_mem_mb:c.max_mem_mb ?spill_watermark_bytes
+         ?max_input_bytes:c.max_input_bytes ?max_depth:c.max_depth ~config:c
+         ())
+
+let of_limits ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes () =
+  of_config ?spill_watermark_bytes
+    (Config.resolve ?timeout_ms ?max_groups ?max_mem_mb ())
+
+let config g = g.config

@@ -29,13 +29,14 @@ type trip_kind =
 val kind_name : trip_kind -> string
 
 (** [create ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes
-    ?max_input_bytes ?max_depth ()] builds a governor. Omitted limits
-    are unlimited. The memory budget combines a [Gc.quick_stat] heap
-    delta from the governor's creation point with bytes explicitly
+    ?max_input_bytes ?max_depth ?config ()] builds a governor. Omitted
+    limits are unlimited. The memory budget combines a [Gc.quick_stat]
+    heap delta from the governor's creation point with bytes explicitly
     counted via {!charge_bytes}. [spill_watermark_bytes] is the soft
     threshold on counted bytes above which pressure callbacks fire;
-    when omitted, spilling stays off (only {!of_limits} defaults it,
-    to half the memory budget). *)
+    when omitted, spilling stays off (only {!of_config} defaults it,
+    to half the memory budget). [config] (default: the environment)
+    gives the spill directory and switch. *)
 val create :
   ?timeout_ms:int ->
   ?max_groups:int ->
@@ -43,18 +44,21 @@ val create :
   ?spill_watermark_bytes:int ->
   ?max_input_bytes:int ->
   ?max_depth:int ->
+  ?config:Config.t ->
   unit ->
   t
 
-(** Merge explicit limits with the environment ([XQ_TIMEOUT],
-    [XQ_MAX_GROUPS], [XQ_MAX_MEM], [XQ_SPILL_AT] in MB, [XQ_MAX_INPUT],
-    [XQ_MAX_DEPTH]). Returns [None] when no limit is set anywhere and
-    fault injection is off — i.e. when running governed would be pure
-    overhead. Returns [Some] of an unlimited governor when only faults
-    are configured, so tick points are armed for injection. When a
-    memory budget is set and no watermark is given, the spill watermark
-    defaults to half the budget (degrade before dying); pass
-    [XQ_NO_SPILL=1] / [--no-spill] to get pure hard-trip behaviour. *)
+(** The governor of a query configured as [c]. Returns [None] when no
+    limit is set and fault injection is off — i.e. when running
+    governed would be pure overhead — unless [force] is set; [Some] of
+    an unlimited governor when only faults are configured, so tick
+    points are armed for injection. The spill watermark is
+    [spill_watermark_bytes], else [c.spill_at_mb], else half the memory
+    budget (degrade before dying; [--no-spill] / [XQ_NO_SPILL=1] give
+    pure hard-trip behaviour). *)
+val of_config : ?force:bool -> ?spill_watermark_bytes:int -> Config.t -> t option
+
+(** {!of_config} of the environment under these explicit limits. *)
 val of_limits :
   ?timeout_ms:int ->
   ?max_groups:int ->
@@ -62,6 +66,9 @@ val of_limits :
   ?spill_watermark_bytes:int ->
   unit ->
   t option
+
+(** The configuration the governor was created with. *)
+val config : t -> Config.t
 
 (** Reset the Gc-delta memory baseline to the current heap. The CLI
     calls this after parsing the input document so [--max-mem] budgets
@@ -242,7 +249,7 @@ val stream_detach : unit -> bool
 (** {1 Fault injection} *)
 
 (** [set_faults ~seed ~rate] arms the deterministic fault streams, as
-    does the environment variable [XQ_FAULTS=<seed>:<rate>]. [rate] is
+    does [XQ_FAULTS=<seed>:<rate>] (read once per process). [rate] is
     a probability in [0,1] applied independently to each draw. *)
 val set_faults : seed:int -> rate:float -> unit
 

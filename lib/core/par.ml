@@ -2,36 +2,7 @@
    always takes the caller's thread and touches no Domain API, so the
    default configuration is byte-for-byte the sequential code path. *)
 
-let degree_cap = 64
-
-let parse_degree s =
-  match int_of_string_opt (String.trim s) with
-  | Some n when n >= 1 -> Some (min n degree_cap)
-  | Some _ | None -> None
-
-(* Read once: the environment cannot change under a running process, and
-   reading lazily keeps [default_degree] allocation-free on hot paths. *)
-let env_degree =
-  lazy
-    (match Sys.getenv_opt "XQ_PARALLEL" with
-     | None -> 1
-     | Some s -> ( match parse_degree s with Some n -> n | None -> 1))
-
-let override = Atomic.make 0 (* 0 = no override, fall back to XQ_PARALLEL *)
-
-let set_default_degree n = Atomic.set override (max 1 (min n degree_cap))
-
-let get_override () =
-  match Atomic.get override with 0 -> None | n -> Some n
-
-let set_override = function
-  | None -> Atomic.set override 0
-  | Some n -> set_default_degree n
-
-let default_degree () =
-  match Atomic.get override with
-  | 0 -> Lazy.force env_degree
-  | n -> n
+let degree_cap = Xq_governor.Config.max_parallel
 
 module Governor = Xq_governor.Governor
 

@@ -1,32 +1,12 @@
 (** A minimal fork-join pool over stdlib [Domain]s.
 
     Everything here degrades to the plain sequential code path at degree
-    1 (the default): no domain is ever spawned, so callers can thread a
-    degree unconditionally and pay nothing when parallelism is off.
-    Degrees above {!degree_cap} are clamped. *)
+    1: no domain is ever spawned, so callers can thread a degree
+    unconditionally and pay nothing when parallelism is off. The degree
+    is always the caller's (a query's [Config.parallel]); degrees above
+    {!degree_cap} are clamped. *)
 
 val degree_cap : int
-
-(** The process-wide default parallelism degree: an explicit
-    {!set_default_degree} override if one was made, else the
-    [XQ_PARALLEL] environment variable, else 1. *)
-val default_degree : unit -> int
-
-(** Override the default degree for this process (the CLI's
-    [--parallel N]). Clamped to [1 .. degree_cap]. *)
-val set_default_degree : int -> unit
-
-(** The current {!set_default_degree} override, if any — save/restore
-    this around a scoped override. *)
-val get_override : unit -> int option
-
-(** [set_override None] drops the override (back to [XQ_PARALLEL] or
-    1); [set_override (Some n)] is [set_default_degree n]. *)
-val set_override : int option -> unit
-
-(** Parse a degree string as [XQ_PARALLEL] would ([None] when invalid or
-    < 1). *)
-val parse_degree : string -> int option
 
 (** Run all thunks to completion, task 0 on the calling domain and the
     rest on fresh domains. If [Domain.spawn] fails (or a spawn fault is

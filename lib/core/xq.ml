@@ -4,6 +4,7 @@ module Lang = Xq_lang
 module Engine = Xq_engine
 module Rewrite = Xq_rewrite
 module Algebra = Xq_algebra
+module Config = Xq_governor.Config
 module Par = Xq_par.Par
 module Batch = Xq_par.Batch
 module Governor = Xq_governor.Governor

@@ -22,19 +22,21 @@ module Engine = Xq_engine
 module Rewrite = Xq_rewrite
 module Algebra = Xq_algebra
 
-(** Fork-join domain pool behind [--parallel] / [XQ_PARALLEL]. *)
+(** One query's configuration: every [XQ_*] knob, resolved once. *)
+module Config = Xq_governor.Config
+
+(** Fork-join domain pool, run at each query's [Config.parallel]. *)
 module Par = Xq_par.Par
 
-(** Executor batch size behind [--batch] / [XQ_BATCH]. *)
+(** Executor batch size ([Config.batch]). *)
 module Batch = Xq_par.Batch
 
 (** Per-query resource governor: deadlines, group/memory budgets,
     cooperative cancellation, fault injection ([XQ_FAULTS]). *)
 module Governor = Xq_governor.Governor
 
-(** Crash-safe spill files behind external grouping
-    ([--spill-at] / [XQ_SPILL_AT], [--spill-dir] / [XQ_SPILL_DIR],
-    [--no-spill] / [XQ_NO_SPILL]). *)
+(** Crash-safe spill files behind external grouping, under the spill
+    settings of the query's governor. *)
 module Spill = Xq_spill.Spill
 
 (** Naive reference evaluator — the differential-fuzzing oracle. *)

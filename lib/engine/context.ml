@@ -17,6 +17,7 @@ type t = {
   collections : Node.t list Smap.t;
   default_coll : Node.t list option;
   flwor_runner : t -> Ast.flwor -> Xseq.t;
+  config : Xq_governor.Config.t;
 }
 
 (* A context built without [with_flwor_runner] has no FLWOR engine: the
@@ -36,6 +37,7 @@ let empty =
     collections = Smap.empty;
     default_coll = None;
     flwor_runner = no_runner;
+    config = Xq_governor.Config.default;
   }
 
 let of_prolog (p : Ast.prolog) =
@@ -107,3 +109,6 @@ let default_collection ctx = ctx.default_coll
 let with_flwor_runner ctx runner = { ctx with flwor_runner = runner }
 
 let run_flwor ctx f = ctx.flwor_runner ctx f
+
+let with_config ctx config = { ctx with config }
+let config ctx = ctx.config

@@ -66,13 +66,19 @@ val default_collection : t -> Node.t list option
 
     The evaluator runs every FLWOR expression — top-level, nested or in
     a function body — through the runner stored here. The plan executor
-    installs it once per query ([Exec.query_context]) with that query's
-    grouping strategy and parallel degree; being a context field rather
-    than a process global, concurrent queries with different settings
-    never see each other's. A context without one raises
-    [Invalid_argument] on its first FLWOR. *)
+    installs it once per query ([Exec.query_context]); the runner reads
+    the query's settings from the context's {!config}. A context without
+    one raises [Invalid_argument] on its first FLWOR. *)
 
 val with_flwor_runner : t -> (t -> Ast.flwor -> Xseq.t) -> t
 
 (** Run a FLWOR expression in this context through the installed runner. *)
 val run_flwor : t -> Ast.flwor -> Xseq.t
+
+(** The query's configuration, set once per query by
+    [Exec.query_context]; being a context field rather than a process
+    global, concurrent queries never see each other's. {!empty} carries
+    {!Xq_governor.Config.default}. *)
+
+val with_config : t -> Xq_governor.Config.t -> t
+val config : t -> Xq_governor.Config.t

@@ -71,11 +71,9 @@ let test_matches axis test node =
    document order the step-at-a-time path ends with. Attributes never
    appear (the child axis does not yield them), matching [axis_nodes].
 
-   Only active when execution is batched ([Batch.size () > 1]) — at
-   [XQ_BATCH=1] the legacy step-at-a-time scan runs, which is the
+   Only active when the query is batched ([Config.batch > 1]) — at
+   batch size 1 the legacy step-at-a-time scan runs, which is the
    item-granularity baseline the bench ablation compares against. *)
-
-module Batch = Xq_par.Batch
 
 type scan_step = SChild of Ast.node_test | SDos
 
@@ -174,7 +172,7 @@ let fused_walk steps root out =
    error cases, e.g. '/' with an atomic focus). [HVar] evaluation is a
    pure lookup, so falling back after it cannot double side effects. *)
 let fused_scan_path ctx e =
-  if not (Batch.batched ()) then None
+  if (Context.config ctx).Xq_governor.Config.batch <= 1 then None
   else
     match compile_spine e with
     | None -> None

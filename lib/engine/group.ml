@@ -32,25 +32,22 @@ let dict_min_input = 256
    ([parallel_keys] — the evaluator checks the key expressions construct
    no nodes); canonicalization itself only reads the tree and always
    parallelizes. [fed] is how many tuples earlier batches contributed:
-   once the input is provably ≥ [dict_min_input] and execution is
-   batched, node keys intern to dictionary codes (raw and interned
-   canons agree on hash/equality, so the mid-stream switch is sound). *)
-let canonicalize_slice ~parallel ~parallel_keys ~keys_of ~fed slice =
-  let run () =
-    if parallel > 1 && parallel_keys then
-      Par.map ~degree:parallel ~min_chunk:par_keys_min_chunk
-        (fun t -> Key.canonicalize (keys_of t))
-        slice
-    else if parallel > 1 then begin
-      let keys = Array.map keys_of slice in
-      Par.map ~degree:parallel ~min_chunk:par_keys_min_chunk Key.canonicalize
-        keys
-    end
-    else Array.map (fun t -> Key.canonicalize (keys_of t)) slice
-  in
-  if Xq_par.Batch.batched () && fed + Array.length slice >= dict_min_input then
-    Key.with_interning run
-  else run ()
+   once the input is provably ≥ [dict_min_input] and the build may
+   intern ([dict] — its query is batched and allows the dictionary),
+   node keys intern to dictionary codes (raw and interned canons agree
+   on hash/equality, so the mid-stream switch is sound). *)
+let canonicalize_slice ~parallel ~parallel_keys ~dict ~keys_of ~fed slice =
+  let intern = dict && fed + Array.length slice >= dict_min_input in
+  let canon keys = Key.canonicalize ~intern keys in
+  if parallel > 1 && parallel_keys then
+    Par.map ~degree:parallel ~min_chunk:par_keys_min_chunk
+      (fun t -> canon (keys_of t))
+      slice
+  else if parallel > 1 then begin
+    let keys = Array.map keys_of slice in
+    Par.map ~degree:parallel ~min_chunk:par_keys_min_chunk canon keys
+  end
+  else Array.map (fun t -> canon (keys_of t)) slice
 
 (* --- hash-based building ------------------------------------------------ *)
 
@@ -513,7 +510,7 @@ let spill_active = function
 (* The batched executor feeds tuples a vector at a time; each strategy is
    an accumulator created once per group operator. The one-shot
    [group_hash]/[group_sort]/[group_scan] entry points below are thin
-   wrappers that chunk a list through a builder at [Batch.size ()].
+   wrappers that chunk a list through a builder at its batch size.
 
    The in-memory hash build is hash-partitioned at creation time: [p]
    tables, table [j] owning the keys whose hash is ≡ j (mod p). Equal
@@ -556,6 +553,8 @@ type 'a builder = {
   b_tally : int ref option;
   b_parallel : int;
   b_parallel_keys : bool;
+  b_batch : int;
+  b_dict : bool; (* large builds may intern node keys *)
   b_keys_of : 'a -> Xseq.t list;
   b_reduce : ('a -> 'a -> 'a) option;
       (* eager aggregation: fold members per group instead of retaining
@@ -579,8 +578,11 @@ let hash_fn_of = function
 let presize_slots ~p est = max 64 (min ((est / p) + 1) 65536)
 
 let builder ?hash ?tally ?spill ?presize ?cost ?reduce ?(parallel = 1)
-    ?(parallel_keys = false) ~mode ~keys_of () =
+    ?(parallel_keys = false) ?config ~mode ~keys_of () =
   let parallel = max 1 parallel in
+  let config =
+    match config with Some c -> c | None -> Xq_governor.Config.resolve ()
+  in
   let impl =
     match mode with
     | `Scan equal -> Scan { s_equal = equal; s_rev_cells = [] }
@@ -635,6 +637,8 @@ let builder ?hash ?tally ?spill ?presize ?cost ?reduce ?(parallel = 1)
     b_tally = tally;
     b_parallel = parallel;
     b_parallel_keys = parallel_keys;
+    b_batch = config.Xq_governor.Config.batch;
+    b_dict = config.Xq_governor.Config.dict && config.Xq_governor.Config.batch > 1;
     b_keys_of = keys_of;
     b_reduce = reduce;
     b_cost = (match cost with Some f -> f | None -> fun _ -> member_cost);
@@ -644,7 +648,7 @@ let builder ?hash ?tally ?spill ?presize ?cost ?reduce ?(parallel = 1)
 
 let canonicalize_batch b slice =
   canonicalize_slice ~parallel:b.b_parallel ~parallel_keys:b.b_parallel_keys
-    ~keys_of:b.b_keys_of ~fed:b.b_fed slice
+    ~dict:b.b_dict ~keys_of:b.b_keys_of ~fed:b.b_fed slice
 
 (* One probe loop over the slice indices partition [j] accepts. The
    governor is ticked at batch granularity (every 64 accepted tuples),
@@ -894,7 +898,7 @@ let finish b =
 let run_batched bld tuples =
   let arr = Array.of_list tuples in
   let n = Array.length arr in
-  let bs = Xq_par.Batch.size () in
+  let bs = bld.b_batch in
   if bs >= n then feed bld arr
   else begin
     let base = ref 0 in
@@ -907,23 +911,24 @@ let run_batched bld tuples =
   finish bld
 
 let group_hash ?hash ?tally ?spill ?presize ?(parallel = 1)
-    ?(parallel_keys = false) ~keys_of tuples =
+    ?(parallel_keys = false) ?config ~keys_of tuples =
   run_batched
-    (builder ?hash ?tally ?spill ?presize ~parallel ~parallel_keys ~mode:`Hash
-       ~keys_of ())
+    (builder ?hash ?tally ?spill ?presize ~parallel ~parallel_keys ?config
+       ~mode:`Hash ~keys_of ())
     tuples
 
 let group_sort ?tally ?(sorted_output = false) ?spill ?presize ?(parallel = 1)
-    ?(parallel_keys = false) ~keys_of tuples =
+    ?(parallel_keys = false) ?config ~keys_of tuples =
   run_batched
-    (builder ?tally ?spill ?presize ~parallel ~parallel_keys
+    (builder ?tally ?spill ?presize ~parallel ~parallel_keys ?config
        ~mode:(`Sort sorted_output) ~keys_of ())
     tuples
 
-let group_scan ?tally ?(parallel = 1) ?(parallel_keys = false) ~keys_of ~equal
-    tuples =
+let group_scan ?tally ?(parallel = 1) ?(parallel_keys = false) ?config ~keys_of
+    ~equal tuples =
   run_batched
-    (builder ?tally ~parallel ~parallel_keys ~mode:(`Scan equal) ~keys_of ())
+    (builder ?tally ~parallel ~parallel_keys ?config ~mode:(`Scan equal)
+       ~keys_of ())
     tuples
 
 (* --- raw key-list comparison (tests) ------------------------------------ *)

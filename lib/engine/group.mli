@@ -85,9 +85,9 @@ val hash_keys : Xseq.t list -> int
     enough to flush and the heap outruns the budget unrecorded.
 
     Feeding is where key canonicalization happens; once the running
-    input size reaches an internal floor (and batching is on), node keys
-    intern into the process key dictionary ({!Key.with_interning}) so
-    probes hash/compare int codes. Interned and raw keys agree on
+    input size reaches an internal floor (and [config] is batched with
+    the dictionary on), node keys intern into the process key
+    dictionary so probes hash/compare int codes. Interned and raw keys agree on
     hash/equality, so results are independent of where the switch lands.
 
     {!finish} returns the groups exactly as the one-shot entry points
@@ -103,7 +103,8 @@ val hash_keys : Xseq.t list -> int
     O(members), and parallel partial merges combine accumulators. The
     caller's [reduce] must be associative over input order splits for
     {!finish} to be independent of spill watermark and parallel
-    degree. *)
+    degree. [config] (default: the environment) gives the batch size
+    and the dictionary switch; [parallel] (default 1) the degree. *)
 
 type 'a builder
 
@@ -116,6 +117,7 @@ val builder :
   ?reduce:('a -> 'a -> 'a) ->
   ?parallel:int ->
   ?parallel_keys:bool ->
+  ?config:Xq_governor.Config.t ->
   mode:
     [ `Hash
     | `Sort of bool
@@ -152,6 +154,7 @@ val group_hash :
   ?presize:int ->
   ?parallel:int ->
   ?parallel_keys:bool ->
+  ?config:Xq_governor.Config.t ->
   keys_of:('a -> Xseq.t list) ->
   'a list ->
   'a group list
@@ -162,6 +165,7 @@ val group_scan :
   ?tally:int ref ->
   ?parallel:int ->
   ?parallel_keys:bool ->
+  ?config:Xq_governor.Config.t ->
   keys_of:('a -> Xseq.t list) ->
   equal:(int -> Key.single -> Key.single -> bool) ->
   'a list ->
@@ -180,6 +184,7 @@ val group_sort :
   ?presize:int ->
   ?parallel:int ->
   ?parallel_keys:bool ->
+  ?config:Xq_governor.Config.t ->
   keys_of:('a -> Xseq.t list) ->
   'a list ->
   'a group list

@@ -38,8 +38,9 @@ type t = { singles : single array; hash : int }
 (* Interns node fingerprints so grouping hashes/compares a small int code
    instead of a fingerprint string. The table is process-wide and
    append-only (codes stay valid for the lifetime of spill frames that
-   carry them); interning is *scoped* per query via [with_interning], so
-   small inputs and the golden-explain corpus never see codes. A code's
+   carry them); whether a canonicalization interns is its caller's
+   decision ([canonicalize ~intern]), made per group build, so small
+   inputs and the golden-explain corpus never see codes. A code's
    hash is memoized as [Hashtbl.hash fp] — identical to the raw [CNode]
    hash — so interned and raw canons of the same node class agree on
    hash and equality even when both appear in one build. *)
@@ -103,23 +104,6 @@ end
    fingerprint + string-value bytes (the strings themselves stay charged
    once, by whichever canonicalization first interned them). *)
 let code_cost = 16
-
-let scope_depth = Stdlib.Atomic.make 0
-
-let interning_available =
-  Stdlib.Atomic.make
-    (match Sys.getenv_opt "XQ_DICT" with
-     | Some ("0" | "off" | "OFF") -> false
-     | _ -> true)
-
-let set_interning_available b = Stdlib.Atomic.set interning_available b
-
-let interning_on () =
-  Stdlib.Atomic.get interning_available && Stdlib.Atomic.get scope_depth > 0
-
-let with_interning f =
-  Stdlib.Atomic.incr scope_depth;
-  Fun.protect ~finally:(fun () -> Stdlib.Atomic.decr scope_depth) f
 
 let intern_count () = Stdlib.Atomic.get Dict.interns
 let dict_size () = Dict.size ()
@@ -229,11 +213,11 @@ let fingerprint n0 =
 
 (* --- canonicalization --------------------------------------------------- *)
 
-let canon_of_item = function
+let canon_of_item ~intern = function
   | Item.Atomic a -> CAtom a
   | Item.Node n ->
     let fp, sv = fingerprint n in
-    if interning_on () then
+    if intern then
       match Dict.intern fp sv with
       | Some (code, fresh) ->
         Stdlib.Atomic.incr Dict.interns;
@@ -252,8 +236,8 @@ let canon_hash = function
   | CNode { fp; _ } -> Hashtbl.hash fp
   | CCode c -> (Dict.get c).e_hash
 
-let canonicalize_single (seq : Xseq.t) =
-  let items = Array.of_list (List.map canon_of_item seq) in
+let canonicalize_single ~intern (seq : Xseq.t) =
+  let items = Array.of_list (List.map (canon_of_item ~intern) seq) in
   let h =
     Array.fold_left
       (fun h c -> mix h (canon_hash c))
@@ -262,8 +246,8 @@ let canonicalize_single (seq : Xseq.t) =
   in
   { orig = seq; items; h }
 
-let canonicalize (keys : Xseq.t list) =
-  let singles = Array.of_list (List.map canonicalize_single keys) in
+let canonicalize ?(intern = false) (keys : Xseq.t list) =
+  let singles = Array.of_list (List.map (canonicalize_single ~intern) keys) in
   let hash =
     Array.fold_left
       (fun h s -> mix h s.h)

@@ -34,7 +34,10 @@ type single = { orig : Xseq.t; items : canon array; h : int }
 (** A canonicalized key list (all keys of one tuple). *)
 type t = { singles : single array; hash : int }
 
-val canonicalize : Xseq.t list -> t
+(** [intern] (default [false]) emits [CCode] items for node keys, interned
+    into the key dictionary (see below); the group builder decides it
+    per build. *)
+val canonicalize : ?intern:bool -> Xseq.t list -> t
 
 (** The original key sequences, unchanged (representative values for the
     grouping variables). *)
@@ -93,22 +96,13 @@ val reset_walk_count : unit -> unit
 (** {1 Key dictionary}
 
     A process-wide, append-only intern table keyed on node fingerprints.
-    While interning is in scope, {!canonicalize} emits [CCode] items for
-    node keys instead of raw fingerprint strings, so grouping hashes and
-    compares small int codes. Spill frames carry the codes (the
+    [canonicalize ~intern:true] emits [CCode] items for node keys
+    instead of raw fingerprint strings, so grouping hashes and compares
+    small int codes. Group builds intern when their query's
+    configuration allows it ([Config.dict], [XQ_DICT]) and the build is
+    batched and large. Spill frames carry the codes (the
     dictionary is the side table replay resolves against); the codec
     rejects codes outside the published dictionary as [Binio.Corrupt]. *)
-
-(** Run [f] with dictionary interning enabled (scopes nest; thread-safe).
-    The batched executor wraps canonicalization of large inputs in this. *)
-val with_interning : (unit -> 'a) -> 'a
-
-(** Whether {!with_interning} scopes currently intern (false when disabled
-    via {!set_interning_available} or [XQ_DICT=0]). *)
-val interning_on : unit -> bool
-
-(** Process-wide kill switch (bench baselines, [XQ_DICT=0]). *)
-val set_interning_available : bool -> unit
 
 (** Monotonic count of node keys interned to a code (EXPLAIN's [dict=]
     counter is conditional on its per-operator delta). *)

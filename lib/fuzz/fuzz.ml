@@ -83,10 +83,14 @@ let engine_outcome ?(inject_bug = false) ?doc config context_node query =
      check hoisted *)
   let compiled = Xq_pipeline.Pipeline.of_query query in
   let strategy = config.strategy and parallel = config.parallel in
+  (* the nopush column forces the pushdown off; the other columns leave
+     it to the environment *)
+  let agg_pushdown = if config.nopush then Some false else None in
   let run () =
     Xq_lang.Static.check_query query;
+    let engine = Xq_governor.Config.resolve ?agg_pushdown ~strategy ~parallel () in
     let materialized () =
-      Xq_pipeline.Pipeline.eval ~strategy ~parallel ~doc:context_node compiled
+      Xq_pipeline.Pipeline.eval ~config:engine ~doc:context_node compiled
     in
     match doc with
     | Some src when config.stream -> begin
@@ -97,21 +101,11 @@ let engine_outcome ?(inject_bug = false) ?doc config context_node query =
          divergence and shrinks like one. *)
       match Xq_rewrite.Projection.analyze query with
       | Xq_rewrite.Projection.Streamable { path; var; positional } ->
-        Xq_algebra.Exec.eval_query_stream ~check:false ~strategy ~parallel
+        Xq_algebra.Exec.eval_query_stream ~check:false ~config:engine
           ~source:(`String src) ~path ~var ~positional query
       | Xq_rewrite.Projection.Materialize _ -> materialized ()
     end
     | _ -> materialized ()
-  in
-  let run () =
-    if config.nopush then begin
-      let saved = Optimizer.agg_pushdown_on () in
-      Optimizer.set_agg_pushdown false;
-      Fun.protect
-        ~finally:(fun () -> Optimizer.set_agg_pushdown saved)
-        run
-    end
-    else run ()
   in
   let outcome =
     capture (fun () ->

@@ -25,9 +25,9 @@ type config = {
           document through the streaming scan instead of materializing *)
   nopush : bool;
       (** force the eager-aggregation pushdown off for this run — the
-          rewritten-vs-unrewritten differential column. The process
-          switch is restored afterwards, so an [XQ_NO_AGG_PUSHDOWN]
-          environment still governs the other columns. *)
+          rewritten-vs-unrewritten differential column. Only this run's
+          configuration changes, so an [XQ_NO_AGG_PUSHDOWN] environment
+          still governs the other columns. *)
 }
 
 (** e.g. ["plan:sort/par=4/spill/stream"] — stable, used in reports. *)

@@ -2,6 +2,7 @@
 
 module Governor = Xq_governor.Governor
 module Clock = Xq_governor.Clock
+module Config = Xq_governor.Config
 module Optimizer = Xq_algebra.Optimizer
 
 type knobs = {
@@ -29,14 +30,15 @@ let default_knobs =
     k_stream = None;
   }
 
-(* Streaming is on by default when a streamable source is supplied;
-   [XQ_NO_STREAM=1] is the environment kill switch, [k_stream] the
-   per-request override (the CLI's --stream/--no-stream, the protocol's
-   STREAM header). *)
-let stream_enabled knobs =
-  match Sys.getenv_opt "XQ_NO_STREAM" with
-  | Some ("1" | "true" | "yes") -> false  (* the kill switch beats everything *)
-  | _ -> knobs.k_stream <> Some false
+(* The knobs are a query's flags or headers: each one set beats [base]
+   (else the environment). *)
+let resolve ?base k =
+  Config.resolve ?base ?strategy:k.k_strategy ?parallel:k.k_parallel
+    ?batch:k.k_batch
+    ?rewrite:(if k.k_rewrite then Some true else None)
+    ?timeout_ms:k.k_timeout_ms ?max_groups:k.k_max_groups
+    ?max_mem_mb:k.k_max_mem_mb ?spill_at_mb:k.k_spill_at_mb
+    ?stream:k.k_stream ()
 
 type compiled = {
   c_source : string;
@@ -54,28 +56,13 @@ let query c = c.c_query
 let source c = c.c_source
 
 (* Length-prefixed fields make the key injective: no choice of query
-   text can collide with a knob rendering. *)
-let cache_key ~knobs source =
-  let strategy =
-    match knobs.k_strategy with
-    | None -> "default"
-    | Some s -> Optimizer.strategy_to_string s
-  in
-  let env_strategy =
-    (* the environment default [Exec] consults when no strategy is set *)
-    match Sys.getenv_opt "XQ_GROUP_STRATEGY" with Some s -> s | None -> ""
-  in
+   text can collide with the rewrite flag. *)
+let cache_key ~(config : Config.t) source =
   let field s = Printf.sprintf "%d:%s" (String.length s) s in
-  String.concat ""
-    [
-      field strategy;
-      field (if knobs.k_rewrite then "rw" else "");
-      field env_strategy;
-      field source;
-    ]
+  field (if config.rewrite then "rw" else "") ^ field source
 
-let eval ?strategy ?parallel ~doc c =
-  Xq_algebra.Exec.eval_query ~check:false ?strategy ?parallel
+let eval ?config ?strategy ?parallel ~doc c =
+  Xq_algebra.Exec.eval_query ~check:false ?config ?strategy ?parallel
     ~context_node:doc c.c_query
 
 let render ?indent seq = Xq_xml.Serialize.sequence ?indent seq
@@ -89,26 +76,16 @@ type report = {
 
 let empty_doc () = Xq_xml.Xml_parse.parse "<empty/>"
 
-let run ?(scope = `Process) ?(force_governor = false) ?on_governor
+let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config
     ?(knobs = default_knobs) ?(indent = false) ?(explain_analyze = false)
     ?compiled ?source ?load_doc ?stream_source () =
+  (* the query's one configuration: everything below reads it *)
+  let config = resolve ?base:config knobs in
   let governed f =
-    let gov =
-      match
-        Governor.of_limits ?timeout_ms:knobs.k_timeout_ms
-          ?max_groups:knobs.k_max_groups ?max_mem_mb:knobs.k_max_mem_mb
-          ?spill_watermark_bytes:
-            (Option.map (fun mb -> mb * 1024 * 1024) knobs.k_spill_at_mb)
-          ()
-      with
-      | Some _ as g -> g
-      | None ->
-        (* the server forces an (unlimited) governor on every query so
-           drain-time cooperative cancellation has something to reach;
-           ungoverned front ends keep paying nothing *)
-        if force_governor then Some (Governor.create ()) else None
-    in
-    match gov with
+    (* the server forces an (unlimited) governor on every query so
+       drain-time cooperative cancellation has something to reach;
+       ungoverned front ends keep paying nothing *)
+    match Governor.of_config ~force:force_governor config with
     | None -> f None
     | Some g ->
       let install =
@@ -121,17 +98,6 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
           f (Some g))
   in
   governed (fun gov ->
-      (* The parallel and batch overrides are process-wide; restore them
-         on exit so a per-request PARALLEL or --batch in the server does
-         not outlive its request. *)
-      let saved_degree = Xq_par.Par.get_override () in
-      let saved_batch = Xq_par.Batch.get_override () in
-      Option.iter Xq_par.Par.set_default_degree knobs.k_parallel;
-      Option.iter (fun n -> Xq_par.Batch.set_size (Some n)) knobs.k_batch;
-      Fun.protect ~finally:(fun () ->
-          if knobs.k_parallel <> None then Xq_par.Par.set_override saved_degree;
-          if knobs.k_batch <> None then Xq_par.Batch.set_size saved_batch)
-      @@ fun () ->
       let compiled_memo = ref compiled in
       let get_compiled () =
         match !compiled_memo with
@@ -139,7 +105,7 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
         | None ->
           let c =
             match source with
-            | Some src -> compile ~rewrite:knobs.k_rewrite src
+            | Some src -> compile ~rewrite:config.rewrite src
             | None -> invalid_arg "Pipeline.run: no compiled and no source"
           in
           compiled_memo := Some c;
@@ -160,7 +126,9 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
          here (both are governed either way). *)
       let streamed =
         match stream_source with
-        | Some src when (not explain_analyze) && stream_enabled knobs -> begin
+        | Some src
+          when (not (explain_analyze || config.no_stream))
+               && config.stream <> Some false -> begin
           let c = get_compiled () in
           match Xq_rewrite.Projection.analyze c.c_query with
           | Xq_rewrite.Projection.Streamable { path; var; positional } ->
@@ -168,7 +136,7 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
           | Xq_rewrite.Projection.Materialize reason ->
             (* one quiet line, only when streaming was asked for by
                name — the silent default must not get noisy *)
-            if knobs.k_stream = Some true then
+            if config.stream = Some true then
               Printf.eprintf
                 "xq: streaming requested but not possible (%s); \
                  materializing\n%!"
@@ -179,20 +147,14 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
       in
       match streamed with
       | Some (src, compiled, path, var, positional) ->
-        let strategy =
-          match knobs.k_strategy with
-          | Some s -> s
-          | None -> Optimizer.strategy_from_env ()
-        in
         (* same contract as the materialized path's post-parse
            rebaseline: --max-mem budgets the query's own work, not the
            startup heap (streamed input is charged as parse-ahead) *)
         (match gov with Some g -> Governor.rebaseline g | None -> ());
         let t0 = Clock.now_ns () in
         let result =
-          Xq_algebra.Exec.eval_query_stream ~check:false ~strategy
-            ?parallel:knobs.k_parallel ~source:src ~path ~var ~positional
-            compiled.c_query
+          Xq_algebra.Exec.eval_query_stream ~check:false ~config ~source:src
+            ~path ~var ~positional compiled.c_query
         in
         let elapsed = float_of_int (Clock.now_ns () - t0) /. 1e6 in
         let rendered = render ~indent result in
@@ -211,8 +173,8 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
         let compiled = get_compiled () in
         if explain_analyze then
           let output =
-            Xq_rewrite.Explain.analyze_query ?strategy:knobs.k_strategy
-              ?parallel:knobs.k_parallel ~context_node:doc compiled.c_query
+            Xq_rewrite.Explain.analyze_query ~config ~context_node:doc
+              compiled.c_query
           in
           (* with a streamable source in play, EXPLAIN also reports the
              projection verdict — the reason a query materializes is
@@ -221,7 +183,7 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
              compile time, say so — the analyzed plan only shows the
              resulting group by, not where it came from *)
           let output =
-            if not knobs.k_rewrite then output
+            if not config.rewrite then output
             else
               let n =
                 match
@@ -251,10 +213,7 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
           }
         else begin
           let t0 = Clock.now_ns () in
-          let result =
-            eval ?strategy:knobs.k_strategy ?parallel:knobs.k_parallel ~doc
-              compiled
-          in
+          let result = eval ~config ~doc compiled in
           let elapsed = float_of_int (Clock.now_ns () - t0) /. 1e6 in
           (* serialize fully before anything is written, so a trip
              mid-query never leaves partial output anywhere *)

@@ -6,10 +6,10 @@
     rewrite ({!compile}), then execution on the plan executor ({!eval}),
     then full serialization before anything is
     written ({!render} — a trip mid-query can never leave partial
-    output). {!run} wraps the whole thing in a governor built from
-    {!knobs} (merged with the [XQ_*] environment), installed either
-    process-wide (CLI semantics) or scoped to the calling domain (the
-    server's concurrent-query semantics).
+    output). {!run} wraps the whole thing in a governor built from the
+    query's configuration ({!resolve}), installed either process-wide
+    (CLI semantics) or scoped to the calling domain (the server's
+    concurrent-query semantics).
 
     {!compile}'s result is the server's plan-cache artifact: the
     setup cost a resident process amortizes is parsing, static
@@ -19,9 +19,9 @@
 
 open Xq_xdm
 
-(** Everything that selects a pipeline variant. A [None] strategy takes
-    the [XQ_GROUP_STRATEGY] default, else hash. Limits merge with the
-    environment via [Governor.of_limits]. *)
+(** A query's flags or protocol headers. An unset field leaves the knob
+    to the [XQ_*] environment (see {!resolve}): a [None] strategy takes
+    the [XQ_GROUP_STRATEGY] default, else hash. *)
 type knobs = {
   k_strategy : Xq_algebra.Optimizer.group_strategy option;
   k_parallel : int option;  (** domain-pool degree *)
@@ -45,6 +45,11 @@ type knobs = {
     rewrite. *)
 val default_knobs : knobs
 
+(** The configuration a query with these knobs runs under: each knob
+    set, else [base]'s (a server's own configuration), else the
+    environment's. *)
+val resolve : ?base:Xq_governor.Config.t -> knobs -> Xq_governor.Config.t
+
 (** A parsed, statically checked, optionally rewritten query — the
     artifact the server's plan cache holds and every front end
     executes. *)
@@ -60,17 +65,18 @@ val of_query : ?source:string -> Xq_lang.Ast.query -> compiled
 val query : compiled -> Xq_lang.Ast.query
 val source : compiled -> string
 
-(** The plan-cache key for [source] under [knobs]: query text ×
-    strategy × the compile-relevant knob (rewrite) × the
-    [XQ_GROUP_STRATEGY] environment default — so a cached artifact is
-    never reused under knobs that could compile or execute it
-    differently. Injective per component (length-prefixed fields). *)
-val cache_key : knobs:knobs -> string -> string
+(** The plan-cache key for [source] under [config]: what {!compile}
+    reads — query text × rewrite flag — so requests differing only in
+    execution settings share one entry. Injective per component
+    (length-prefixed fields). *)
+val cache_key : config:Xq_governor.Config.t -> string -> string
 
 (** Execute a compiled query against a context document through
     [Exec.eval_query]: every FLWOR, nested ones included, runs on the
-    plan executor's operator chain. No governor management here. *)
+    plan executor's operator chain, under [config] (default: the
+    environment). No governor management here. *)
 val eval :
+  ?config:Xq_governor.Config.t ->
   ?strategy:Xq_algebra.Optimizer.group_strategy ->
   ?parallel:int ->
   doc:Node.t ->
@@ -91,8 +97,9 @@ type report = {
       (** the governor's stats when one was installed *)
 }
 
-(** The full governed pipeline: build a governor from [knobs] + the
-    environment, install it ([`Process] = process-wide, CLI semantics;
+(** The full governed pipeline: resolve the query's configuration
+    ([resolve ?base:config knobs]), build its governor, install it
+    ([`Process] = process-wide, CLI semantics;
     [`Domain] = scoped to this domain, server semantics), load the
     document inside the governed region (input limits apply),
     rebaseline so memory budgets cover the query's own work, compile
@@ -121,6 +128,7 @@ val run :
   ?scope:[ `Process | `Domain ] ->
   ?force_governor:bool ->
   ?on_governor:(Xq_governor.Governor.t -> unit) ->
+  ?config:Xq_governor.Config.t ->
   ?knobs:knobs ->
   ?indent:bool ->
   ?explain_analyze:bool ->

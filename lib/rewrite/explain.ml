@@ -240,7 +240,7 @@ let analyzed ?(timings = true) (plan : Plan.plan) (stats : Exec.Stats.t) =
     go 1 plan.Plan.pipeline outer_first;
     Buffer.contents buf
 
-let analyze_query ?(timings = true) ?optimize ?strategy ?parallel
+let analyze_query ?(timings = true) ?config ?optimize ?strategy ?parallel
     ~context_node (q : Ast.query) =
   let buf = Buffer.create 256 in
   let total = ref 0 in
@@ -256,7 +256,7 @@ let analyze_query ?(timings = true) ?optimize ?strategy ?parallel
       | Exec.Analyzed_expr result ->
         total := !total + List.length result;
         add buf 0 "(non-FLWOR expression: evaluated directly)")
-    (Exec.analyze_query ?optimize ?strategy ?parallel ~context_node q);
+    (Exec.analyze_query ?config ?optimize ?strategy ?parallel ~context_node q);
   add buf 0 (Printf.sprintf "result: %d item(s)" !total);
   (* governor trip counts and peak budgets, only when one is installed —
      ungoverned runs (and the golden explain corpus) are unchanged *)

@@ -27,13 +27,14 @@ val analyzed :
 
 (** Compile, execute and render every top-level FLWOR of the query body
     (non-FLWOR parts evaluate directly and are noted as such), ending
-    with the total result cardinality. [strategy] defaults to
-    [XQ_GROUP_STRATEGY] (else hash); [optimize] runs the plan
-    optimizer first; [parallel] sets the domain-pool degree (default
-    [Par.default_degree ()]: [--parallel], else [XQ_PARALLEL], else 1 —
-    the degree a normal run of the query uses). *)
+    with the total result cardinality. [optimize] runs the plan
+    optimizer first; the configuration resolves as in
+    {!Xq_algebra.Exec.query_context} — [strategy] and [parallel]
+    override [config], which defaults to the environment, so the
+    analysis runs under the settings a normal run of the query uses. *)
 val analyze_query :
   ?timings:bool ->
+  ?config:Xq_governor.Config.t ->
   ?optimize:bool ->
   ?strategy:Xq_algebra.Optimizer.group_strategy ->
   ?parallel:int ->

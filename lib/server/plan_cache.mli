@@ -1,9 +1,11 @@
 (** LRU cache of compiled query plans for the query server.
 
     Entries are keyed on {!Xq_pipeline.Pipeline.cache_key} — query text
-    × strategy × rewrite flag × the [XQ_GROUP_STRATEGY]
-    environment default — so two requests share a plan exactly when
-    they would compile to the same thing. Capacity is a bounded entry
+    × rewrite flag, the only inputs compilation reads — so two requests
+    share a plan exactly when they would compile to the same thing.
+    Execution settings stay out of the key: requests that differ only
+    in strategy, degree, batch size or limits share one entry, and each
+    runs it under its own settings. Capacity is a bounded entry
     count with least-recently-used eviction; resident bytes (an
     estimate — the AST is roughly proportional to the source) are
     charged against an optional accounting governor so the server's

@@ -141,20 +141,10 @@ let cancel_inflight t =
 
 (* --- request knobs over server defaults -------------------------------- *)
 
-let merge_knobs ~base ~req =
-  let opt r b = match r with Some _ -> r | None -> b in
-  Pipeline.
-    {
-      k_strategy = opt req.k_strategy base.k_strategy;
-      k_parallel = opt req.k_parallel base.k_parallel;
-      k_batch = opt req.k_batch base.k_batch;
-      k_rewrite = req.k_rewrite || base.k_rewrite;
-      k_timeout_ms = opt req.k_timeout_ms base.k_timeout_ms;
-      k_max_groups = opt req.k_max_groups base.k_max_groups;
-      k_max_mem_mb = opt req.k_max_mem_mb base.k_max_mem_mb;
-      k_spill_at_mb = opt req.k_spill_at_mb base.k_spill_at_mb;
-      k_stream = opt req.k_stream base.k_stream;
-    }
+(* The server's own configuration: its [c_knobs] over the environment,
+   resolved afresh for each use so a changed environment reaches the
+   next request. Request headers override it field-wise. *)
+let base_config t = Pipeline.resolve t.cfg.c_knobs
 
 (* --- error taxonomy ----------------------------------------------------- *)
 
@@ -266,8 +256,8 @@ let crash_point what =
 (* --- query execution ---------------------------------------------------- *)
 
 let run_request t (rq : Protocol.run_request) =
-  let knobs = merge_knobs ~base:t.cfg.c_knobs ~req:rq.rq_knobs in
-  let key = Pipeline.cache_key ~knobs rq.rq_source in
+  let config = Pipeline.resolve ~base:(base_config t) rq.rq_knobs in
+  let key = Pipeline.cache_key ~config rq.rq_source in
   (* Everything below runs on the worker domain: compilation (so a
      parse error costs the client, not the accept loop), document
      loading (resident store for paths, per-query parse for inline
@@ -276,7 +266,8 @@ let run_request t (rq : Protocol.run_request) =
     crash_point "query start";
     let compiled =
       Plan_cache.find_or_add t.plan_cache key (fun () ->
-          Pipeline.compile ~rewrite:knobs.Pipeline.k_rewrite rq.rq_source)
+          Pipeline.compile ~rewrite:config.Xq_governor.Config.rewrite
+            rq.rq_source)
     in
     (* A STREAM request bypasses the resident document store: the point
        of streaming a one-shot document is precisely not to materialize
@@ -304,7 +295,7 @@ let run_request t (rq : Protocol.run_request) =
         let report =
           Pipeline.run ~scope:`Domain ~force_governor:true
             ~on_governor:(fun g -> slot := Some (register_inflight t g))
-            ~knobs ~indent:rq.rq_indent ~compiled ?load_doc ?stream_source ()
+            ~config ~indent:rq.rq_indent ~compiled ?load_doc ?stream_source ()
         in
         crash_point "before response";
         (* match the CLI byte for byte: [xq run] prints the rendering
@@ -360,7 +351,7 @@ let stats_text t =
      (the intern table is shared by all resident queries) *)
   line "dict_entries" (Xq_engine.Key.dict_size ());
   line "dict_interns" (Xq_engine.Key.intern_count ());
-  line "batch_size" (Xq_par.Batch.size ());
+  line "batch_size" (base_config t).Xq_governor.Config.batch;
   Buffer.contents b
 
 (* --- command dispatch --------------------------------------------------- *)

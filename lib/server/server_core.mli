@@ -64,7 +64,8 @@ type config = {
           (default 200); drain-mode refusals hint the drain window
           instead *)
   c_knobs : Xq_pipeline.Pipeline.knobs;
-      (** per-query defaults; request headers override field-wise *)
+      (** the server's own configuration over the [XQ_*] environment
+          ([Pipeline.resolve]); request headers override it field-wise *)
 }
 
 val default_config : config
@@ -103,8 +104,9 @@ val handle : t -> Protocol.command -> Protocol.response
 
 (** The [STATS] payload: one [key value] per line — pid, drain state,
     served/error counters by exit family, admission and connection
-    rejects, drain cancellations, connection drops, and both caches'
-    hit/miss/eviction counters. *)
+    rejects, drain cancellations, connection drops, both caches'
+    hit/miss/eviction counters, the key dictionary's size, and the
+    batch size of the server's own configuration ([batch_size]). *)
 val stats_text : t -> string
 
 (** [serve_connection t ic oc] — read commands until [QUIT], EOF or a

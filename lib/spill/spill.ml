@@ -24,25 +24,14 @@ let magic = "XQSP\001"
 
 (* --- availability -------------------------------------------------------- *)
 
-let enabled = Atomic.make true
-let dir_override : string option Atomic.t = Atomic.make None
+(* The query's spill settings ride its governor; with none installed
+   (no query is spilling) they resolve from the environment. *)
+let config () =
+  match Governor.current () with
+  | Some g -> Governor.config g
+  | None -> Xq_governor.Config.resolve ()
 
-let dir () =
-  match Atomic.get dir_override with
-  | Some d -> d
-  | None -> (
-    match Sys.getenv_opt "XQ_SPILL_DIR" with
-    | Some d when d <> "" -> d
-    | Some _ | None -> (
-      match Sys.getenv_opt "TMPDIR" with
-      | Some d when d <> "" -> d
-      | Some _ | None -> Filename.get_temp_dir_name ()))
-
-let set_dir d =
-  Atomic.set dir_override d;
-  Atomic.set enabled true (* re-probe against the new directory *)
-
-let set_enabled b = Atomic.set enabled b
+let dir () = (config ()).spill_dir
 
 let probe_counter = Atomic.make 0
 
@@ -50,13 +39,13 @@ let probe_counter = Atomic.make 0
    raw Unix calls (never the fault-injected path: an injected fault
    must surface as XQENG0006 at spill time, not silently disable
    spilling). Re-evaluated per call — it is only consulted once per
-   grouping operator, and the directory can change via [set_dir]. *)
+   grouping operator, and each query may name its own directory. *)
 let available () =
-  Atomic.get enabled
-  && Sys.getenv_opt "XQ_NO_SPILL" <> Some "1"
+  let c = config () in
+  c.spill
   &&
   let path =
-    Filename.concat (dir ())
+    Filename.concat c.spill_dir
       (Printf.sprintf "xq-spill-probe-%d-%d" (Unix.getpid ())
          (Atomic.fetch_and_add probe_counter 1))
   in

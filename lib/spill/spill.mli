@@ -16,18 +16,15 @@
 
 (** {1 Availability} *)
 
-(** Spill directory: [set_dir] override, else [XQ_SPILL_DIR], else
-    [TMPDIR], else the system temp dir. *)
+(** Spill directory of the installed governor's query ([--spill-dir],
+    else [XQ_SPILL_DIR], else the system temp directory — see
+    [Config.spill_dir]); with no governor installed, of the
+    environment. *)
 val dir : unit -> string
 
-val set_dir : string option -> unit
-
-(** [set_enabled false] (the [--no-spill] flag) forces {!available} to
-    [false]. *)
-val set_enabled : bool -> unit
-
-(** [true] when spilling may be used: enabled, [XQ_NO_SPILL] is not
-    [1], and a probe file can be created in {!dir}. *)
+(** [true] when spilling may be used: the query's spill switch is on
+    ([--no-spill] / [XQ_NO_SPILL=1] turn it off) and a probe file can be
+    created in {!dir}. *)
 val available : unit -> bool
 
 (** Once-per-process stderr warning that a watermark is armed but

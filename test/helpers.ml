@@ -27,13 +27,10 @@ let reference_run ~context_node query =
     Xq_algebra.Exec.run_string ~strategy:Xq_algebra.Optimizer.Hash ~parallel:1
       ~context_node query
 
-(* Run the body under a given aggregate-pushdown setting, restoring
-   whatever the process had (the suites must behave under
-   XQ_NO_AGG_PUSHDOWN=1 too — CI runs them both ways). *)
-let with_pushdown enabled f =
-  let saved = Xq_algebra.Optimizer.agg_pushdown_on () in
-  Xq_algebra.Optimizer.set_agg_pushdown enabled;
-  Fun.protect ~finally:(fun () -> Xq_algebra.Optimizer.set_agg_pushdown saved) f
+(* The environment's configuration with the aggregate pushdown forced
+   on or off (the suites must behave under XQ_NO_AGG_PUSHDOWN=1 too — CI
+   runs them both ways). *)
+let pushdown enabled = Xq_governor.Config.resolve ~agg_pushdown:enabled ()
 
 let check_query ~data query expected name =
   Alcotest.(check string) name expected (run_xml ~data query)

@@ -244,9 +244,8 @@ let differential_tests =
         match q.Xq_lang.Ast.body with
         | Xq_lang.Ast.Flwor f ->
           let plan =
-            with_pushdown true (fun () ->
-                Optimizer.push_aggregates
-                  (Optimizer.apply_strategy Optimizer.Hash (Plan.of_flwor f)))
+            Optimizer.push_aggregates
+              (Optimizer.apply_strategy Optimizer.Hash (Plan.of_flwor f))
           in
           (* one accumulator slot, all five kinds folded into it *)
           check_int "pushed kinds" 5 (Optimizer.agg_pushdown_count plan)
@@ -273,21 +272,19 @@ let differential_tests =
                   List.iter
                     (fun (wlabel, watermark) ->
                       let run enabled =
-                        with_pushdown enabled (fun () ->
-                            let g =
-                              Governor.create ?spill_watermark_bytes:watermark
-                                ()
-                            in
-                            let out =
-                              Governor.with_governor g (fun () ->
-                                  serialize
-                                    (Exec.run_string ~strategy ~parallel
-                                       ~context_node:doc agg_query))
-                            in
-                            let s = Governor.stats g in
-                            if s.Governor.s_spill_files > 0 then
-                              incr spilled_runs;
-                            out)
+                        let g =
+                          Governor.create ?spill_watermark_bytes:watermark ()
+                        in
+                        let out =
+                          Governor.with_governor g (fun () ->
+                              serialize
+                                (Exec.run_string ~config:(pushdown enabled)
+                                   ~strategy ~parallel ~context_node:doc
+                                   agg_query))
+                        in
+                        let s = Governor.stats g in
+                        if s.Governor.s_spill_files > 0 then incr spilled_runs;
+                        out
                       in
                       let folded = run true in
                       let materialized = run false in
@@ -314,12 +311,12 @@ let differential_tests =
            return count($q)"
         in
         let code enabled =
-          with_pushdown enabled (fun () ->
-              match
-                Exec.run_string ~strategy:Optimizer.Hash ~context_node:doc q
-              with
-              | _ -> Alcotest.fail "expected a dynamic error"
-              | exception Xerror.Error (c, _) -> c)
+          match
+            Exec.run_string ~config:(pushdown enabled) ~strategy:Optimizer.Hash
+              ~context_node:doc q
+          with
+          | _ -> Alcotest.fail "expected a dynamic error"
+          | exception Xerror.Error (c, _) -> c
         in
         check_bool "same code" true (code true = code false));
     test "call-site errors surface identically in both modes" (fun () ->
@@ -332,12 +329,12 @@ let differential_tests =
            return sum($v)"
         in
         let outcome enabled =
-          with_pushdown enabled (fun () ->
-              match
-                Exec.run_string ~strategy:Optimizer.Hash ~context_node:doc q
-              with
-              | _ -> Alcotest.fail "expected FORG0001"
-              | exception Xerror.Error (c, m) -> (c, m))
+          match
+            Exec.run_string ~config:(pushdown enabled) ~strategy:Optimizer.Hash
+              ~context_node:doc q
+          with
+          | _ -> Alcotest.fail "expected FORG0001"
+          | exception Xerror.Error (c, m) -> (c, m)
         in
         check_bool "same code and message" true (outcome true = outcome false));
   ]
@@ -443,34 +440,32 @@ let explain_tests =
   [
     test "EXPLAIN ANALYZE announces the pushdown, and only then" (fun () ->
         let doc = lineitems_doc () in
-        let analyze () =
+        let analyze enabled =
           Xq_rewrite.Explain.analyze_query ~timings:false
-            ~strategy:Optimizer.Hash ~parallel:1 ~context_node:doc
-            (Xq.parse agg_query)
+            ~config:(pushdown enabled) ~strategy:Optimizer.Hash ~parallel:1
+            ~context_node:doc (Xq.parse agg_query)
         in
-        let pushed = with_pushdown true analyze in
+        let pushed = analyze true in
         check_bool "rewrite line" true
           (contains_sub pushed "rewrite: agg-pushdown=5");
         check_bool "agg annotation on the group op" true
           (contains_sub pushed " agg=[$v:count,sum,avg,min,max]");
-        let off = with_pushdown false analyze in
+        let off = analyze false in
         check_bool "silent when disabled" false
           (contains_sub off "agg-pushdown"));
     test "the kill switch really reaches the planner" (fun () ->
-        let q = Xq.parse agg_query in
-        match q.Xq_lang.Ast.body with
-        | Xq_lang.Ast.Flwor f ->
-          let plan () =
-            Optimizer.push_aggregates
-              (Optimizer.apply_strategy Optimizer.Hash (Plan.of_flwor f))
-          in
-          check_int "disabled: nothing pushed" 0
-            (with_pushdown false (fun () ->
-                 Optimizer.agg_pushdown_count (plan ())));
-          check_int "enabled: pushed" 5
-            (with_pushdown true (fun () ->
-                 Optimizer.agg_pushdown_count (plan ())))
-        | _ -> Alcotest.fail "expected a FLWOR body");
+        let doc = lineitems_doc () in
+        let pushed enabled =
+          match
+            Exec.analyze_query ~config:(pushdown enabled)
+              ~strategy:Optimizer.Hash ~context_node:doc (Xq.parse agg_query)
+          with
+          | [ Exec.Analyzed_plan (plan, _, _) ] ->
+            Optimizer.agg_pushdown_count plan
+          | _ -> Alcotest.fail "expected one analyzed plan"
+        in
+        check_int "disabled: nothing pushed" 0 (pushed false);
+        check_int "enabled: pushed" 5 (pushed true));
     test "--rewrite EXPLAIN ANALYZE announces the implicit-grouping \
           rewrite on the paper's Q idiom" (fun () ->
         let source =

@@ -292,7 +292,7 @@ let profiler_tests =
             { Xq_engine.Context.item = Xq_xdm.Item.Node doc; position = 1; size = 1 }
         in
         let stats = ref [] in
-        let result = Xq_algebra.Exec.run ~stats ~parallel:1 ctx plan in
+        let result = Xq_algebra.Exec.run ~stats ctx plan in
         check_string "result" "2" (Xq_xml.Serialize.sequence result);
         (* UNIT, FOR-EXPAND, SELECT, HASH-GROUP, RETURN *)
         check_int "operators" 5 (List.length !stats);
@@ -311,9 +311,9 @@ let profiler_tests =
           Xq_engine.Context.with_focus Xq_engine.Context.empty
             { Xq_engine.Context.item = Xq_xdm.Item.Node doc; position = 1; size = 1 }
         in
-        let plain = Xq_algebra.Exec.run ~parallel:1 ctx plan in
+        let plain = Xq_algebra.Exec.run ctx plan in
         let profiled =
-          Xq_algebra.Exec.run ~stats:(ref []) ~parallel:1 ctx plan
+          Xq_algebra.Exec.run ~stats:(ref []) ctx plan
         in
         check_string "same"
           (Xq_xml.Serialize.sequence plain)

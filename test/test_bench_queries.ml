@@ -102,8 +102,9 @@ let agreement_tests =
         let qgb = Xq.parse (qgb_one "tax") in
         Xq.check qgb;
         let v enabled =
-          with_pushdown enabled (fun () ->
-              normalize (Xq.run_query ~check:false doc qgb))
+          normalize
+            (Xq_algebra.Exec.eval_query ~check:false ~config:(pushdown enabled)
+               ~context_node:doc qgb)
         in
         check_string "optimized" (v false) (v true));
     test "algebra-executed Qgb agrees" (fun () ->

@@ -56,11 +56,7 @@ let explain_tests =
                aggregation pushdown — run them with the switch on even
                under an XQ_NO_AGG_PUSHDOWN=1 sweep (whose point is the
                executed outputs, not the explain text) *)
-            let saved = Xq_algebra.Optimizer.agg_pushdown_on () in
-            Xq_algebra.Optimizer.set_agg_pushdown true;
-            Fun.protect
-              ~finally:(fun () -> Xq_algebra.Optimizer.set_agg_pushdown saved)
-            @@ fun () ->
+            let config = Xq_governor.Config.resolve ~agg_pushdown:true () in
             let source = Test_golden.read_file (Filename.concat dir file) in
             let data =
               Test_golden.fixture_of_name (Test_golden.fixture_header source)
@@ -74,8 +70,8 @@ let explain_tests =
                 (* degree 1 likewise: analysis runs at the query's degree,
                    and an XQ_PARALLEL=4 sweep would add par=4 *)
                 let actual =
-                  Xq_rewrite.Explain.analyze_query ~timings:false ~strategy
-                    ~parallel:1 ~context_node:doc query
+                  Xq_rewrite.Explain.analyze_query ~timings:false ~config
+                    ~strategy ~parallel:1 ~context_node:doc query
                 in
                 Alcotest.(check bool)
                   (file ^ suffix ^ " has no timings") false

@@ -119,12 +119,14 @@ let litedata =
 let pushed body =
   match Parser.parse_expr body with
   | Ast.Flwor f ->
-    with_pushdown true (fun () ->
-        Xq_algebra.Optimizer.agg_pushdown_count
-          (Xq_algebra.Exec.plan_flwor ~strategy:Xq_algebra.Optimizer.Hash f))
+    Xq_algebra.Optimizer.agg_pushdown_count
+      (Xq_algebra.Exec.plan_flwor ~config:Xq_governor.Config.default f)
   | _ -> 0
 
-let run_pushed enabled q = with_pushdown enabled (fun () -> run_xml ~data:litedata q)
+let run_pushed enabled q =
+  Xq_xml.Serialize.sequence
+    (Xq_algebra.Exec.run_string ~config:(pushdown enabled)
+       ~context_node:(Xq_xml.Xml_parse.parse litedata) q)
 
 let count_opt_tests =
   [
@@ -172,9 +174,9 @@ let explain_tests =
         check_bool "scan" true (contains plan "SCAN GROUP"));
     test "count-optimized nests are flagged by EXPLAIN ANALYZE" (fun () ->
         let out =
-          with_pushdown true (fun () ->
-              Xq_rewrite.Explain.analyze_query ~timings:false ~parallel:1
-                ~context_node:(doc_of litedata) (Parser.parse_query opt_query))
+          Xq_rewrite.Explain.analyze_query ~timings:false
+            ~config:(pushdown true) ~parallel:1
+            ~context_node:(doc_of litedata) (Parser.parse_query opt_query)
         in
         check_bool "flagged" true (contains out "agg-pushdown=1"));
     test "implicit idiom is flagged for rewrite" (fun () ->

@@ -20,6 +20,7 @@ let arb_root = Test_props.arb_root
 (* --- canonical keys agree with deep-equal ------------------------------- *)
 
 let canon1 s = Key.canonicalize [ s ]
+let interned1 s = Key.canonicalize ~intern:true [ s ]
 
 let canonical_props =
   [
@@ -164,7 +165,7 @@ let dict_props =
       (fun n ->
         let s = [ Item.Node n ] in
         let raw = canon1 s in
-        let interned = Key.with_interning (fun () -> canon1 s) in
+        let interned = interned1 s in
         Key.equal raw interned && Key.equal interned raw
         && Key.hash raw = Key.hash interned
         && Key.compare raw interned = 0);
@@ -172,13 +173,13 @@ let dict_props =
       ~name:"interned equality coincides with deep-equal"
       (QCheck.pair arb_root arb_root)
       (fun (n1, n2) ->
-        let c n = Key.with_interning (fun () -> canon1 [ Item.Node n ]) in
+        let c n = interned1 [ Item.Node n ] in
         let k1 = c n1 and k2 = c n2 in
         Key.equal k1 k2 = Deep_equal.sequences [ Item.Node n1 ] [ Item.Node n2 ]);
     QCheck.Test.make ~count:200
       ~name:"interned keys survive the binio spill round-trip" arb_root
       (fun n ->
-        let k = Key.with_interning (fun () -> canon1 [ Item.Node n ]) in
+        let k = interned1 [ Item.Node n ] in
         let reg = Binio.registry () in
         let buf = Buffer.create 64 in
         Key.encode reg buf k;
@@ -192,14 +193,14 @@ let dict_tests =
       (fun () ->
         let node = Xq_xml.Builder.(build (el_text "k" "dict-probe")) in
         let before = Key.intern_count () in
-        let _ = Key.with_interning (fun () -> canon1 [ Item.Node node ]) in
+        let _ = interned1 [ Item.Node node ] in
         Alcotest.(check bool) "interned" true (Key.intern_count () > before);
         Alcotest.(check bool) "dictionary non-empty" true
           (Key.dict_size () > 0));
     Alcotest.test_case "torn spill frame is rejected, never misdecoded"
       `Quick (fun () ->
         let node = Xq_xml.Builder.(build (el_text "k" "torn")) in
-        let k = Key.with_interning (fun () -> canon1 [ Item.Node node ]) in
+        let k = interned1 [ Item.Node node ] in
         let reg = Binio.registry () in
         let buf = Buffer.create 64 in
         Key.encode reg buf k;
@@ -215,7 +216,7 @@ let dict_tests =
         (* a frame can hold a code the dictionary no longer covers (e.g.
            written before a crash); decode must refuse it *)
         let node = Xq_xml.Builder.(build (el_text "k" "stale-code")) in
-        let k = Key.with_interning (fun () -> canon1 [ Item.Node node ]) in
+        let k = interned1 [ Item.Node node ] in
         let reg = Binio.registry () in
         let buf = Buffer.create 64 in
         Key.encode reg buf k;
@@ -227,23 +228,19 @@ let dict_tests =
       "grouping with interning = without, sequential and at degree 4" `Quick
       (fun () ->
         let tuples = node_tuples 600 in
-        Fun.protect
-          ~finally:(fun () -> Key.set_interning_available true)
-          (fun () ->
-            Key.set_interning_available false;
-            let plain = Group.group_hash ~keys_of tuples in
-            Key.set_interning_available true;
-            let interned =
-              Key.with_interning (fun () -> Group.group_hash ~keys_of tuples)
-            in
-            let par =
-              Key.with_interning (fun () ->
-                  Group.group_hash ~parallel:4 ~keys_of tuples)
-            in
-            Alcotest.(check (list (list int)))
-              "interned = plain" (group_ids plain) (group_ids interned);
-            Alcotest.(check (list (list int)))
-              "parallel interned = plain" (group_ids plain) (group_ids par)));
+        let dict on = Xq_governor.Config.resolve ~batch:4096 ~dict:on () in
+        let plain = Group.group_hash ~config:(dict false) ~keys_of tuples in
+        let before = Key.intern_count () in
+        let interned = Group.group_hash ~config:(dict true) ~keys_of tuples in
+        Alcotest.(check bool) "the build interned" true
+          (Key.intern_count () > before);
+        let par =
+          Group.group_hash ~parallel:4 ~config:(dict true) ~keys_of tuples
+        in
+        Alcotest.(check (list (list int)))
+          "interned = plain" (group_ids plain) (group_ids interned);
+        Alcotest.(check (list (list int)))
+          "parallel interned = plain" (group_ids plain) (group_ids par));
   ]
 
 (* --- the hash mixer: wide key lists must not collapse -------------------- *)

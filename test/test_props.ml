@@ -320,9 +320,9 @@ let grouping_props =
            number($k) return <g>{string($k)}:{count($is)}</g>"
         in
         let run enabled =
-          Helpers.with_pushdown enabled (fun () ->
-              Xq_xml.Serialize.sequence
-                (Xq_algebra.Exec.run_string ~context_node:doc q))
+          Xq_xml.Serialize.sequence
+            (Xq_algebra.Exec.run_string ~config:(Helpers.pushdown enabled)
+               ~context_node:doc q)
         in
         run false = run true);
     QCheck.Test.make ~count:200 ~name:"order by sorts like List.sort"

@@ -28,6 +28,26 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+let orders_xml n =
+  let b = Buffer.create (n * 64) in
+  Buffer.add_string b "<orders>";
+  for i = 1 to n do
+    Buffer.add_string b
+      (Printf.sprintf "<order><cust>c%d</cust><amt>%d</amt></order>"
+         (i mod 5) i)
+  done;
+  Buffer.add_string b "</orders>";
+  Buffer.contents b
+
+let orders_q =
+  "for $o in /orders/order group by $o/cust into $k nest $o into $os \
+   order by $k return <r>{$k, count($os), sum($os/amt)}</r>"
+
 (* --- plan cache --------------------------------------------------------- *)
 
 let compile_counting count source =
@@ -36,11 +56,12 @@ let compile_counting count source =
     Pipeline.compile source
 
 let knobs = Pipeline.default_knobs
+let config = Pipeline.resolve knobs
 
 let test_plan_lru_eviction () =
   let t = Plan_cache.create ~capacity:2 () in
   let count = ref 0 in
-  let key n = Pipeline.cache_key ~knobs (Printf.sprintf "%d + %d" n n) in
+  let key n = Pipeline.cache_key ~config (Printf.sprintf "%d + %d" n n) in
   let get n =
     Plan_cache.find_or_add t (key n)
       (compile_counting count (Printf.sprintf "%d + %d" n n))
@@ -60,47 +81,96 @@ let test_plan_lru_eviction () =
   ignore (get 2);
   Alcotest.(check int) "evicted key recompiles" 4 !count
 
+(* Run [f] with [name] set to [value] in the environment, restoring it
+   (an unset variable comes back empty, which every knob reads as
+   unset). *)
+let with_env name value f =
+  let saved = Sys.getenv_opt name in
+  Unix.putenv name value;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv name (Option.value saved ~default:""))
+    f
+
 let test_plan_cache_keying () =
-  (* distinct strategies and flags must not share a slot, and the
-     XQ_GROUP_STRATEGY environment default is part of the key *)
+  (* the key covers what compilation reads — the source and the rewrite
+     flag — and no knob that only steers execution, whether it comes
+     from a header or from the environment *)
   let source = "for $x in /a/b return $x" in
-  let k_direct = Pipeline.cache_key ~knobs source in
-  let k_hash =
-    Pipeline.cache_key
-      ~knobs:{ knobs with Pipeline.k_strategy = Some Xq_algebra.Optimizer.Hash }
-      source
-  in
-  let k_sort =
-    Pipeline.cache_key
-      ~knobs:{ knobs with Pipeline.k_strategy = Some Xq_algebra.Optimizer.Sort }
-      source
-  in
-  let k_rw =
-    Pipeline.cache_key ~knobs:{ knobs with Pipeline.k_rewrite = true } source
-  in
-  let keys = [ k_direct; k_hash; k_sort; k_rw ] in
-  Alcotest.(check int)
-    "all keys distinct"
-    (List.length keys)
-    (List.length (List.sort_uniq compare keys));
-  let saved = Sys.getenv_opt "XQ_GROUP_STRATEGY" in
-  Unix.putenv "XQ_GROUP_STRATEGY" "sort";
-  let k_env = Pipeline.cache_key ~knobs source in
-  (match saved with
-   | Some v -> Unix.putenv "XQ_GROUP_STRATEGY" v
-   | None -> Unix.putenv "XQ_GROUP_STRATEGY" "");
-  Alcotest.(check bool) "env default changes the key" true (k_env <> k_direct);
+  let key knobs = Pipeline.cache_key ~config:(Pipeline.resolve knobs) source in
+  let k_direct = key knobs in
+  List.iter
+    (fun s ->
+      Alcotest.(check string)
+        ("STRATEGY " ^ Xq_algebra.Optimizer.strategy_to_string s
+       ^ " keeps the key")
+        k_direct
+        (key { knobs with Pipeline.k_strategy = Some s }))
+    Xq_algebra.Optimizer.[ Hash; Sort; Auto ];
+  with_env "XQ_GROUP_STRATEGY" "sort" (fun () ->
+      Alcotest.(check string) "env strategy keeps the key" k_direct
+        (key knobs));
+  Alcotest.(check bool) "rewrite changes the key" true
+    (key { knobs with Pipeline.k_rewrite = true } <> k_direct);
   (* and the key is injective against crafted query text: a query whose
      text embeds another key's rendering must not collide *)
-  let k_sneaky = Pipeline.cache_key ~knobs k_direct in
+  let k_sneaky = Pipeline.cache_key ~config k_direct in
   Alcotest.(check bool) "length-prefixing defeats embedding" true
-    (k_sneaky <> k_direct)
+    (k_sneaky <> k_direct);
+  (* one cached entry serves a STRATEGY sort request and a header-less
+     one, and each runs under its own strategy *)
+  let q =
+    "for $o in /orders/order group by $o/cust into $k nest $o into $os \
+     return <r>{$k, count($os)}</r>"
+  in
+  let xml = orders_xml 40 in
+  let t = Server.create () in
+  let serve knobs =
+    match
+      Server.handle t
+        (Protocol.Run
+           {
+             Protocol.rq_source = q;
+             rq_doc = Protocol.Doc_inline xml;
+             rq_knobs = knobs;
+             rq_indent = false;
+           })
+    with
+    | Protocol.Payload p -> p
+    | Protocol.Error { message; _ } -> Alcotest.failf "rejected: %s" message
+  in
+  let sort = { knobs with Pipeline.k_strategy = Some Xq_algebra.Optimizer.Sort } in
+  Alcotest.(check string) "same payload under either strategy" (serve sort)
+    (serve knobs);
+  let s = Plan_cache.stats (Server.plans t) in
+  Alcotest.(check int) "one entry" 1 s.Plan_cache.p_entries;
+  Alcotest.(check int) "compiled once" 1 s.Plan_cache.p_misses;
+  Alcotest.(check int) "served from the cache" 1 s.Plan_cache.p_hits;
+  let compiled =
+    Plan_cache.find_or_add (Server.plans t)
+      (Pipeline.cache_key ~config q)
+      (fun () -> Alcotest.fail "the shared entry is not cached")
+  in
+  let explain knobs =
+    (Pipeline.run ~knobs ~compiled ~explain_analyze:true
+       ~load_doc:(fun () -> Xq_xml.Xml_parse.parse xml)
+       ())
+      .Pipeline.r_output
+  in
+  let sorted = explain sort and headerless = explain knobs in
+  Alcotest.(check bool) "STRATEGY sort runs SORT-GROUP" true
+    (contains sorted "SORT-GROUP" && not (contains sorted "HASH-GROUP"));
+  let own =
+    match Xq_algebra.Optimizer.strategy_from_env () with
+    | Xq_algebra.Optimizer.Sort -> "SORT-GROUP"
+    | Hash | Auto -> "HASH-GROUP"
+  in
+  Alcotest.(check bool) ("header-less runs " ^ own) true (contains headerless own)
 
 let test_plan_cache_counters () =
   let house = Governor.create () in
   let t = Plan_cache.create ~capacity:4 ~account:house () in
   let count = ref 0 in
-  let key = Pipeline.cache_key ~knobs "1 + 2" in
+  let key = Pipeline.cache_key ~config "1 + 2" in
   ignore (Plan_cache.find_or_add t key (compile_counting count "1 + 2"));
   ignore (Plan_cache.find_or_add t key (compile_counting count "1 + 2"));
   ignore (Plan_cache.find_or_add t key (compile_counting count "1 + 2"));
@@ -117,7 +187,7 @@ let test_plan_cache_counters () =
   (* a failing compile counts a miss and caches nothing *)
   (match
      Plan_cache.find_or_add t
-       (Pipeline.cache_key ~knobs "for $")
+       (Pipeline.cache_key ~config "for $")
        (fun () -> Pipeline.compile "for $")
    with
    | _ -> Alcotest.fail "bad query compiled"
@@ -292,12 +362,68 @@ let test_admission_watermark () =
   Alcotest.(check bool) "reject counted" true
     (List.mem "admission_rejects 1" (String.split_on_char '\n' stats))
 
+(* --- per-query configuration ---------------------------------------------- *)
+
+(* A grouping query with parallelizable operators (HASH-GROUP, SORT):
+   EXPLAIN ANALYZE shows [par=N] on them whenever the query runs at a
+   degree above 1. *)
+let degree_q =
+  "for $o in /orders/order group by $o/cust into $k nest $o into $os \
+   order by $k return <r>{$k, count($os)}</r>"
+
+let degree_doc () = Xq_xml.Xml_parse.parse (orders_xml 60)
+
+(* Every [par=N] figure in an EXPLAIN ANALYZE, in order. *)
+let pars text =
+  let n = String.length text in
+  let rec go i acc =
+    if i + 4 > n then List.rev acc
+    else if String.sub text i 4 = "par=" then begin
+      let j = ref (i + 4) in
+      while !j < n && text.[!j] >= '0' && text.[!j] <= '9' do incr j done;
+      go !j (String.sub text i (!j - i) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  go 0 []
+
+(* A header-less EXPLAIN ANALYZE through the pipeline. *)
+let explain_headerless () =
+  (Pipeline.run ~scope:`Domain ~explain_analyze:true ~source:degree_q
+     ~load_doc:degree_doc ())
+    .Pipeline.r_output
+
+let environment_degree () =
+  (Xq_governor.Config.resolve ()).Xq_governor.Config.parallel
+
+(* A request degree distinct from the environment's (CI sweeps run with
+   XQ_PARALLEL=4) and from [avoid]. *)
+let request_degree ?(avoid = 0) preferred =
+  let env = environment_degree () in
+  List.find (fun d -> d <> env && d <> avoid) [ preferred; 5; 6; 7 ]
+
+(* One-shot latches the rendezvous below open and wait on; a wait gives
+   up after 30 s so a broken interleaving fails instead of hanging. *)
+let open_latch l = Atomic.set l true
+
+let await l =
+  let give_up = Unix.gettimeofday () +. 30. in
+  while not (Atomic.get l) do
+    if Unix.gettimeofday () > give_up then failwith "rendezvous timed out";
+    Unix.sleepf 0.001
+  done
+
+let run_at ?load_doc degree =
+  (Pipeline.run ~scope:`Domain
+     ~knobs:{ Pipeline.default_knobs with Pipeline.k_parallel = Some degree }
+     ~source:degree_q ?load_doc ())
+    .Pipeline.r_output
+
 (* A request's PARALLEL header scopes to that request: neither it nor a
-   later header-less request leaves the process default changed. *)
+   later header-less request changes the degree header-less queries run
+   at. *)
 let test_parallel_header_restored () =
-  let module Par = Xq_par.Par in
-  let before = Par.default_degree () in
-  let degree = if before = 4 then 2 else 4 in
+  let alone = pars (explain_headerless ()) in
   let t = Server.create () in
   let run knobs =
     match
@@ -313,11 +439,168 @@ let test_parallel_header_restored () =
     | Protocol.Payload p -> Alcotest.(check string) "result" "3\n" p
     | Protocol.Error { message; _ } -> Alcotest.failf "rejected: %s" message
   in
-  run { Pipeline.default_knobs with Pipeline.k_parallel = Some degree };
-  Alcotest.(check int) "restored after PARALLEL" before (Par.default_degree ());
+  run
+    { Pipeline.default_knobs with
+      Pipeline.k_parallel = Some (request_degree 4) };
+  Alcotest.(check (list string)) "restored after PARALLEL" alone
+    (pars (explain_headerless ()));
   run Pipeline.default_knobs;
-  Alcotest.(check int) "header-less request keeps it" before
-    (Par.default_degree ())
+  Alcotest.(check (list string)) "header-less request keeps it" alone
+    (pars (explain_headerless ()))
+
+(* A header-less EXPLAIN ANALYZE that runs while a PARALLEL request is in
+   flight (parked in its document load) shows the environment's degree,
+   never the request's. *)
+let test_headerless_during_parallel () =
+  let alone = explain_headerless () in
+  let d = request_degree 3 in
+  let in_flight = Atomic.make false and released = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        run_at d ~load_doc:(fun () ->
+            open_latch in_flight;
+            await released;
+            degree_doc ()))
+  in
+  await in_flight;
+  let during =
+    Fun.protect ~finally:(fun () -> open_latch released) explain_headerless
+  in
+  let result = Domain.join other in
+  Alcotest.(check string) "the PARALLEL request's result"
+    (run_at 1 ~load_doc:degree_doc) result;
+  Alcotest.(check (list string)) "the environment's degrees" (pars alone)
+    (pars during);
+  Alcotest.(check bool)
+    (Printf.sprintf "no par=%d" d)
+    false
+    (List.mem (Printf.sprintf "par=%d" d) (pars during));
+  if environment_degree () = 1 then
+    Alcotest.(check (list string)) "no par= at degree 1" [] (pars during)
+
+(* Two PARALLEL requests overlap and finish out of order (the first to
+   start finishes first); a later header-less request still runs at the
+   environment's degree. *)
+let test_overlapping_parallel_requests () =
+  let alone = pars (explain_headerless ()) in
+  let d1 = request_degree 3 in
+  let d2 = request_degree ~avoid:d1 2 in
+  let a_in = Atomic.make false
+  and b_in = Atomic.make false
+  and a_done = Atomic.make false in
+  let a =
+    Domain.spawn (fun () ->
+        run_at d1 ~load_doc:(fun () ->
+            open_latch a_in;
+            await b_in;
+            degree_doc ()))
+  in
+  let b =
+    Domain.spawn (fun () ->
+        await a_in;
+        run_at d2 ~load_doc:(fun () ->
+            open_latch b_in;
+            await a_done;
+            degree_doc ()))
+  in
+  let ra = Fun.protect ~finally:(fun () -> open_latch a_done) (fun () -> Domain.join a) in
+  let rb = Domain.join b in
+  Alcotest.(check string) "both results agree" ra rb;
+  let after = pars (explain_headerless ()) in
+  Alcotest.(check (list string)) "the environment's degrees" alone after;
+  List.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "no par=%d" d)
+        false
+        (List.mem (Printf.sprintf "par=%d" d) after))
+    [ d1; d2 ]
+
+(* Concurrent queries with every knob varied at once — batch size,
+   aggregate pushdown, the key dictionary, strategy, degree — each
+   produce exactly what the same query produces alone. The document is
+   big enough that batched builds intern their node keys. *)
+let test_mixed_knob_concurrency () =
+  let module C = Xq_governor.Config in
+  let xml =
+    let b = Buffer.create 65536 in
+    Buffer.add_string b "<r>";
+    for i = 1 to 600 do
+      Buffer.add_string b
+        (Printf.sprintf "<i><k><n>%d</n></k><v>%d</v></i>" (i mod 37) i)
+    done;
+    Buffer.add_string b "</r>";
+    Buffer.contents b
+  in
+  let q =
+    "for $i in //i group by $i/k into $k nest $i/v into $vs \
+     order by number($k) return <g>{string($k), count($vs), sum($vs)}</g>"
+  in
+  let specs =
+    (* batch, agg pushdown, dictionary, strategy, degree *)
+    C.
+      [
+        (1, true, true, Hash, 1);
+        (4096, false, false, Sort, 4);
+        (4096, true, false, Auto, 1);
+        (1, true, true, Sort, 4);
+        (4096, false, true, Hash, 4);
+        (1, false, false, Auto, 4);
+        (4096, true, true, Sort, 1);
+        (1, false, false, Hash, 1);
+        (4096, true, true, Auto, 4);
+      ]
+  in
+  let run ?load_doc (batch, agg_pushdown, dict, strategy, parallel) =
+    (Pipeline.run ~scope:`Domain
+       ~config:(C.resolve ~agg_pushdown ~dict ())
+       ~knobs:
+         {
+           Pipeline.default_knobs with
+           Pipeline.k_batch = Some batch;
+           k_strategy = Some strategy;
+           k_parallel = Some parallel;
+         }
+       ~source:q
+       ~load_doc:
+         (Option.value load_doc ~default:(fun () -> Xq_xml.Xml_parse.parse xml))
+       ())
+      .Pipeline.r_output
+  in
+  let alone = List.map (fun spec -> run spec) specs in
+  (* every query parks in its document load until all are in flight *)
+  let arrived = Atomic.make 0 and all_in = Atomic.make false in
+  let n = List.length specs in
+  let load_doc () =
+    if Atomic.fetch_and_add arrived 1 + 1 = n then open_latch all_in;
+    await all_in;
+    Xq_xml.Xml_parse.parse xml
+  in
+  let domains =
+    List.map (fun spec -> Domain.spawn (fun () -> run ~load_doc spec)) specs
+  in
+  let together = List.map Domain.join domains in
+  List.iteri
+    (fun i (a, c) ->
+      Alcotest.(check string) (Printf.sprintf "query %d byte-identical" i) a c)
+    (List.combine alone together);
+  Alcotest.(check bool) "non-trivial output" true
+    (String.length (List.hd alone) > 100)
+
+(* STATS reports the batch size of the server's own configuration. *)
+let test_stats_batch_size () =
+  let config =
+    {
+      Server.default_config with
+      Server.c_knobs = { Pipeline.default_knobs with Pipeline.k_batch = Some 7 };
+    }
+  in
+  let t = Server.create ~config () in
+  match Server.handle t Protocol.Stats with
+  | Protocol.Payload p ->
+    Alcotest.(check bool) "batch_size 7" true
+      (List.mem "batch_size 7" (String.split_on_char '\n' p))
+  | Protocol.Error { message; _ } -> Alcotest.failf "STATS failed: %s" message
 
 (* --- live-socket helpers ------------------------------------------------ *)
 
@@ -380,26 +663,6 @@ let stream_cmd ~doc source =
       rq_knobs = { Pipeline.default_knobs with Pipeline.k_stream = Some true };
       rq_indent = false;
     }
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let orders_xml n =
-  let b = Buffer.create (n * 64) in
-  Buffer.add_string b "<orders>";
-  for i = 1 to n do
-    Buffer.add_string b
-      (Printf.sprintf "<order><cust>c%d</cust><amt>%d</amt></order>"
-         (i mod 5) i)
-  done;
-  Buffer.add_string b "</orders>";
-  Buffer.contents b
-
-let orders_q =
-  "for $o in /orders/order group by $o/cust into $k nest $o into $os \
-   order by $k return <r>{$k, count($os), sum($os/amt)}</r>"
 
 let test_streamed_request_identity () =
   (* the STREAM header bypasses the doc store and pulls the document
@@ -727,6 +990,17 @@ let suites =
           `Quick test_admission_watermark;
         Alcotest.test_case "PARALLEL header does not outlive its request"
           `Quick test_parallel_header_restored;
+      ] );
+    ( "server-config",
+      [
+        Alcotest.test_case "header-less EXPLAIN during a PARALLEL request"
+          `Quick test_headerless_during_parallel;
+        Alcotest.test_case "overlapping PARALLEL requests finish out of order"
+          `Quick test_overlapping_parallel_requests;
+        Alcotest.test_case "mixed-knob queries concurrently = alone" `Quick
+          test_mixed_knob_concurrency;
+        Alcotest.test_case "STATS batch_size is the server's own" `Quick
+          test_stats_batch_size;
       ] );
     ( "server-protocol",
       [ Alcotest.test_case "command round trip" `Quick test_protocol_roundtrip ]

@@ -439,19 +439,18 @@ let attribution_tests =
     test "per-operator spill figures add up to the governor's" (fun () ->
         let doc = random_doc (Prng.create 0x5b112) in
         let run batch =
-          Xq_par.Batch.set_size (Some batch);
           let g = Governor.create ~spill_watermark_bytes:1 () in
           let parts =
             Governor.with_governor g (fun () ->
-                Exec.analyze_query ~strategy:Optimizer.Hash ~parallel:1
-                  ~context_node:doc (Xq.parse diff_query))
+                Exec.analyze_query
+                  ~config:(Xq_governor.Config.resolve ~batch ())
+                  ~strategy:Optimizer.Hash ~parallel:1 ~context_node:doc
+                  (Xq.parse diff_query))
           in
           match parts with
           | [ Exec.Analyzed_plan (_, _, stats) ] -> (stats, Governor.stats g)
           | _ -> Alcotest.fail "expected one analyzed plan"
         in
-        Fun.protect ~finally:(fun () -> Xq_par.Batch.set_size None)
-        @@ fun () ->
         let counts (stats : Exec.Stats.t) =
           List.map
             (fun (e : Exec.Stats.entry) ->

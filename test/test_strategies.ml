@@ -123,38 +123,32 @@ let batch_differential name query =
   test
     (Printf.sprintf "%s agrees across batch sizes (%d seeds)" name (seeds / 2))
     (fun () ->
-      Fun.protect
-        ~finally:(fun () -> Xq_par.Batch.set_size None)
-        (fun () ->
-          for seed = 0 to (seeds / 2) - 1 do
-            let rng = Prng.create (0xba7c4 + seed) in
-            let doc = random_doc rng in
-            Xq_par.Batch.set_size None;
-            let expected =
-              serialize (reference_run ~context_node:doc query)
-            in
+      for seed = 0 to (seeds / 2) - 1 do
+        let rng = Prng.create (0xba7c4 + seed) in
+        let doc = random_doc rng in
+        let expected = serialize (reference_run ~context_node:doc query) in
+        List.iter
+          (fun batch ->
+            let config = Xq_governor.Config.resolve ?batch () in
             List.iter
-              (fun batch ->
-                Xq_par.Batch.set_size batch;
-                List.iter
-                  (fun (label, strategy) ->
-                    let got =
-                      serialize
-                        (Exec.run_string ~strategy ~parallel:1
-                           ~context_node:doc query)
-                    in
-                    if got <> expected then
-                      Alcotest.failf
-                        "seed %d, strategy %s, batch %s:\n\
-                         expected %s\ngot      %s"
-                        seed label
-                        (match batch with
-                         | Some b -> string_of_int b
-                         | None -> "default")
-                        expected got)
-                  strategies)
-              batch_sizes
-          done))
+              (fun (label, strategy) ->
+                let got =
+                  serialize
+                    (Exec.run_string ~config ~strategy ~parallel:1
+                       ~context_node:doc query)
+                in
+                if got <> expected then
+                  Alcotest.failf
+                    "seed %d, strategy %s, batch %s:\n\
+                     expected %s\ngot      %s"
+                    seed label
+                    (match batch with
+                     | Some b -> string_of_int b
+                     | None -> "default")
+                    expected got)
+              strategies)
+          batch_sizes
+      done)
 
 let batch_tests =
   [
@@ -360,9 +354,9 @@ let instrumentation_tests =
           | Xq_lang.Ast.Flwor f -> Plan.of_flwor f
           | _ -> Alcotest.fail "expected FLWOR"
         in
-        let ctx = Exec.query_context ~context_node:doc q in
+        let ctx = Exec.query_context ~parallel:1 ~context_node:doc q in
         let stats = ref [] in
-        let result = Exec.run ~stats ~parallel:1 ctx plan in
+        let result = Exec.run ~stats ctx plan in
         let stats = !stats in
         check_int "one entry per operator plus RETURN"
           (Plan.size plan.Plan.pipeline + 1)
@@ -388,7 +382,7 @@ let instrumentation_tests =
         let rng = Prng.create 7 in
         let doc = random_doc rng in
         let q = Xq_lang.Parser.parse_query q_ordered in
-        let ctx = Exec.query_context ~context_node:doc q in
+        let ctx = Exec.query_context ~parallel:1 ~context_node:doc q in
         let expected = serialize (Exec.run_string ~context_node:doc q_ordered) in
         List.iter
           (fun (label, strategy) ->
@@ -399,7 +393,7 @@ let instrumentation_tests =
               | _ -> Alcotest.fail "expected FLWOR"
             in
             let stats = ref [] in
-            let result = Exec.run ~stats ~parallel:1 ctx plan in
+            let result = Exec.run ~stats ctx plan in
             let stats = !stats in
             Alcotest.(check string) label expected (serialize result);
             let grouping =
@@ -415,17 +409,14 @@ let instrumentation_tests =
   ]
 
 (* EXPLAIN ANALYZE runs the query at its own degree: with no [~parallel],
-   the process default (here 4) reaches the grouping operator. *)
+   the query's configured degree (here 4) reaches the grouping operator. *)
 let degree_tests =
   [
-    test "analysis runs at the process default degree" (fun () ->
+    test "analysis runs at the query's configured degree" (fun () ->
         let doc = random_doc (Prng.create 11) in
-        let saved = Xq_par.Par.get_override () in
-        Fun.protect ~finally:(fun () -> Xq_par.Par.set_override saved)
-        @@ fun () ->
-        Xq_par.Par.set_default_degree 4;
         let out =
           Xq_rewrite.Explain.analyze_query ~timings:false
+            ~config:(Xq_governor.Config.resolve ~parallel:4 ())
             ~strategy:Optimizer.Hash ~context_node:doc
             (Xq_lang.Parser.parse_query
                "for $i in //i group by $i/k into $k nest $i into $is \
@@ -473,7 +464,9 @@ let group_signature strategy src =
         | Some input -> find input
         | None -> Alcotest.fail "no grouping operator")
     in
-    find (Exec.plan_flwor ~strategy f).Plan.pipeline
+    find
+      (Exec.plan_flwor ~config:{ Xq_governor.Config.default with strategy } f)
+        .Plan.pipeline
   | _ -> Alcotest.fail "expected FLWOR"
 
 let nested_tests =

@@ -524,18 +524,17 @@ let leaf_tests =
               <b k='1'>z</b><c><!--in--><?q?>t<d/></c><a/><e></e></p:r><!--end-->"));
     test "a fused scan skips the text of leaves" (fun () ->
         let d = parse (orders_xml ()) in
-        Fun.protect
-          ~finally:(fun () -> Xq_par.Batch.set_size None)
-          (fun () ->
-            Xq_par.Batch.set_size (Some 4096);
-            let scan () = Xq_algebra.Exec.run_string ~context_node:d "//order/lineitem" in
-            let n = List.length (scan ()) in
-            let w0 = Gc.minor_words () in
-            ignore (Sys.opaque_identity (scan ()));
-            (* about 60 words per lineitem; building the text children
-               of its leaf fields costs about 400 *)
-            let per_item = (Gc.minor_words () -. w0) /. float n in
-            if per_item > 150. then Alcotest.failf "%.1f words per lineitem" per_item));
+        let config = Xq_governor.Config.resolve ~batch:4096 () in
+        let scan () =
+          Xq_algebra.Exec.run_string ~config ~context_node:d "//order/lineitem"
+        in
+        let n = List.length (scan ()) in
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (scan ()));
+        (* about 60 words per lineitem; building the text children
+           of its leaf fields costs about 400 *)
+        let per_item = (Gc.minor_words () -. w0) /. float n in
+        if per_item > 150. then Alcotest.failf "%.1f words per lineitem" per_item);
   ]
 
 (* --- hostile streams ------------------------------------------------------ *)

@@ -252,18 +252,19 @@ type sink = {
          callback — i.e. never while a push is in flight. *)
 }
 
-(* Accumulate single tuples and emit full vectors downstream. The buffer
+(* Accumulate single items and emit full vectors to [push]. The buffer
    starts empty and doubles up to [batch] on demand: a nested FLWOR
    builds its chain on every evaluation, and most of those chains carry
    a handful of tuples, not a full vector. *)
-let rebatcher batch down =
+let rebatcher batch push =
   let cap = max 1 batch in
   let buf = ref [||] in
   let fill = ref 0 in
   let flush () =
     if !fill > 0 then begin
-      down.push (Array.sub !buf 0 !fill);
-      fill := 0
+      let vec = Array.sub !buf 0 !fill in
+      fill := 0;
+      push vec
     end
   in
   let push_one t =
@@ -310,7 +311,7 @@ let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
       pressure = down.pressure;
     }
   | Plan.For_expand { var; positional; source; _ } ->
-    let push_one, flush = rebatcher batch down in
+    let push_one, flush = rebatcher batch down.push in
     {
       push =
         (fun vec ->
@@ -392,7 +393,7 @@ let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
       pressure = down.pressure;
     }
   | Plan.Window_expand { window; _ } ->
-    let push_one, flush = rebatcher batch down in
+    let push_one, flush = rebatcher batch down.push in
     {
       push =
         (fun vec ->
@@ -426,7 +427,7 @@ let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
           Governor.tick ();
           let input = List.concat_map Array.to_list (List.rev !acc) in
           acc := [];
-          let push_one, flush = rebatcher batch down in
+          let push_one, flush = rebatcher batch down.push in
           List.iter push_one (sort_tuples ?tally ~parallel ctx specs input);
           flush ();
           down.close ());
@@ -532,7 +533,7 @@ let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
           (fun () ->
             let groups = Xq_engine.Group.finish bld in
             Optimizer.note_groups ~signature (List.length groups);
-            let push_one, flush = rebatcher batch down in
+            let push_one, flush = rebatcher batch down.push in
             List.iter push_one (agg_output shape groups);
             flush ();
             down.close ());
@@ -563,7 +564,7 @@ let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
           (fun () ->
             let groups = Xq_engine.Group.finish bld in
             Optimizer.note_groups ~signature (List.length groups);
-            let push_one, flush = rebatcher batch down in
+            let push_one, flush = rebatcher batch down.push in
             List.iter push_one (group_output ?tally ctx shape groups);
             flush ();
             down.close ());
@@ -878,6 +879,78 @@ let analyze_query ?config ?optimize ?strategy ?parallel ~context_node
 
 (* --- streamed execution -------------------------------------------------- *)
 
+(* Bounded-memory mode trades collector idle time for footprint: the
+   default pacing (space_overhead 120) lets the major heap balloon to
+   > 2x the live set while parse garbage pours in at wire speed, and the
+   pool high-water never comes back down — the Gc-delta estimate would
+   trip the budget on memory that is mostly reusable. Tighter pacing
+   keeps the heap near the live set for the scan's duration. The pacing
+   is process state, so overlapping scans (concurrent STREAM requests)
+   share one tightening: the first to start saves the setting, the last
+   to finish restores it. *)
+let tight_gc = Mutex.create ()
+let tight_scans = ref 0
+let saved_overhead = ref 0
+
+let with_tight_gc f =
+  Mutex.protect tight_gc (fun () ->
+      if !tight_scans = 0 then begin
+        let g = Gc.get () in
+        saved_overhead := g.Gc.space_overhead;
+        Gc.set { g with Gc.space_overhead = 30 }
+      end;
+      incr tight_scans);
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect tight_gc (fun () ->
+          decr tight_scans;
+          if !tight_scans = 0 then
+            Gc.set { (Gc.get ()) with Gc.space_overhead = !saved_overhead }))
+    f
+
+(* Parse-ahead bound in subtree-estimate bytes, whatever the batch size
+   or watermark: without it an ungoverned scan would hold up to a whole
+   default vector of captured subtrees (several MB) before handing any
+   downstream. *)
+let stream_ahead_bytes = 256 * 1024
+
+(* The streamed scan's vectors: each captured subtree is charged against
+   the governor from emission until its vector is handed to [down], so
+   memory pressure sees parse-ahead data. A vector goes downstream once
+   it holds [batch] subtrees or the next one would take its summed
+   estimate past the cap — a governed scan's cap is the smaller of
+   [stream_ahead_bytes] and a slice of its watermark, since parse-ahead
+   alone would otherwise eat most of a small budget. Operators are
+   byte-identical at any vector boundary. *)
+let scan_vectors ?keep_whitespace ~batch ~path source
+    (down : bytes:int -> Node.t array -> unit) =
+  let cap =
+    min stream_ahead_bytes (max (Governor.spill_watermark () / 8) 65536)
+  in
+  let held = ref 0 in
+  let release () =
+    if !held > 0 then begin
+      Governor.uncharge_bytes !held;
+      held := 0
+    end
+  in
+  let push_one, flush =
+    rebatcher batch (fun vec ->
+        down ~bytes:!held vec;
+        release ())
+  in
+  let emit ~bytes n =
+    if !held > 0 && !held + bytes > cap then flush ();
+    if bytes > 0 then begin
+      Governor.charge_bytes bytes;
+      held := !held + bytes
+    end;
+    push_one n
+  in
+  Fun.protect ~finally:release (fun () ->
+      Xq_xml.Xml_stream.scan ?keep_whitespace ~path ~emit source;
+      flush ())
+
 (* Pipelined scan: document subtrees matched by the projection path flow
    into the operator chain batch-at-a-time *while parsing proceeds* —
    the plan's [Unit; For_expand] prefix (the binding the projection
@@ -912,16 +985,6 @@ let eval_query_stream ?(check = true) ?config ?optimize ?strategy ?parallel
         "Exec.eval_query_stream: plan does not start with the streamed binding"
   in
   let final, result = return_sink ctx plan in
-  (* parse-ahead accounting: emitted subtrees stay charged until their
-     vector is consumed downstream (whose own accounting then sees them
-     via the heap estimate) *)
-  let pending = ref 0 in
-  let release () =
-    if !pending > 0 then begin
-      Governor.uncharge_bytes !pending;
-      pending := 0
-    end
-  in
   (* Stream mode goes on before the chain is built: group operators read
      it at construction time to pick the detached spill codec and the
      real per-member cost estimate — built earlier they would spill
@@ -933,48 +996,18 @@ let eval_query_stream ?(check = true) ?config ?optimize ?strategy ?parallel
    | None -> ());
   Fun.protect
     ~finally:(fun () ->
-      release ();
       match Governor.current () with
       | Some g -> Governor.set_stream_mode g was_stream
       | None -> ())
     (fun () ->
       let chain, _ = build_chain ~meter:false ~batch ~parallel ctx rest final in
-      let releasing =
-        {
-          push =
-            (fun vec ->
-              chain.push vec;
-              release ());
-          close = chain.close;
-          pressure = chain.pressure;
-        }
-      in
-      let push_one, flush = rebatcher batch releasing in
-      (* Parse-ahead is bounded in bytes, not just tuples: a full
-         default vector of captured subtrees can hold several MB (live
-         in the heap and charged), which alone eats most of a small
-         budget. Hand a partial vector downstream once the accumulated
-         estimate passes a slice of the watermark; operators are
-         byte-identical at any vector boundary. *)
-      let ahead_cap =
-        let wm = Governor.spill_watermark () in
-        if wm = max_int then max_int else max (wm / 8) 65536
-      in
       let idx = ref 0 in
-      let emit ~bytes n =
-        if bytes > 0 then begin
-          Governor.charge_bytes bytes;
-          pending := !pending + bytes
-        end;
+      let tuple n =
         incr idx;
         let t = Smap.add var [ Item.Node n ] Smap.empty in
-        let t =
-          match positional with
-          | Some p -> Smap.add p (Xseq.of_int !idx) t
-          | None -> t
-        in
-        push_one t;
-        if !pending >= ahead_cap then flush ()
+        match positional with
+        | Some p -> Smap.add p (Xseq.of_int !idx) t
+        | None -> t
       in
       (* Parse garbage — skipped content and already-consumed subtrees —
          dominates the Gc-delta memory estimate during a streamed scan,
@@ -1003,22 +1036,13 @@ let eval_query_stream ?(check = true) ?config ?optimize ?strategy ?parallel
           last_heap := (Gc.quick_stat ()).Gc.heap_words
         end
       in
-      (* Bounded-memory mode trades collector idle time for footprint:
-         the default pacing (space_overhead 120) lets the major heap
-         balloon to > 2x the live set while parse garbage pours in at
-         wire speed, and the pool high-water never comes back down — the
-         Gc-delta estimate would trip the budget on memory that is
-         mostly reusable. Tighter pacing keeps the heap near the live
-         set for the scan's duration; ungoverned scans keep the stock
-         throughput-friendly setting. *)
-      let old_gc = Gc.get () in
-      if Governor.spill_watermark () < max_int then
-        Gc.set { old_gc with Gc.space_overhead = 30 };
-      Fun.protect
-        ~finally:(fun () -> Gc.set old_gc)
-        (fun () ->
+      (* ungoverned scans keep the stock throughput-friendly pacing *)
+      let pacing f =
+        if Governor.spill_watermark () < max_int then with_tight_gc f else f ()
+      in
+      pacing (fun () ->
           Governor.with_pressure_callback relieve (fun () ->
-              Xq_xml.Xml_stream.scan ?keep_whitespace ~path ~emit source;
-              flush ();
+              scan_vectors ?keep_whitespace ~batch ~path source
+                (fun ~bytes:_ nodes -> chain.push (Array.map tuple nodes));
               chain.close ())));
   result ()

@@ -174,3 +174,31 @@ val eval_query_stream :
   positional:string option ->
   Xq_lang.Ast.query ->
   Xseq.t
+
+(** [with_tight_gc f] runs [f] with the collector's [space_overhead]
+    tightened to 30, as a bounded (watermarked) streamed scan does.
+    Process-wide and counted: overlapping calls, on any domains, share
+    one tightening — the first to enter saves the setting and the last
+    to leave restores it. *)
+val with_tight_gc : (unit -> 'a) -> 'a
+
+(** The parse-ahead cap of a streamed scan, in subtree-estimate bytes:
+    a governed scan caps at the smaller of this and a slice of its
+    watermark, an ungoverned one at this. *)
+val stream_ahead_bytes : int
+
+(** The streamed scan {!eval_query_stream} feeds its chain with:
+    [scan_vectors ~batch ~path source down] scans [source] and hands
+    the subtrees matched by [path] to [down] in document order, in
+    vectors of at most [batch] subtrees whose summed heap-cost
+    estimates ([bytes]) stay within the parse-ahead cap (a single
+    larger subtree goes alone). Each subtree is charged against the
+    installed governor from its emission until [down] has consumed its
+    vector. *)
+val scan_vectors :
+  ?keep_whitespace:bool ->
+  batch:int ->
+  path:Xq_xml.Xml_stream.path ->
+  Xq_xml.Xml_stream.source ->
+  (bytes:int -> Node.t array -> unit) ->
+  unit

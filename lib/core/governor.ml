@@ -12,17 +12,17 @@
    within one stride of ticks of being crossed.
 
    All state is atomics: the installed governor is shared by every
-   domain the [Par] pool spawns, which is what makes cancellation reach
+   domain of the [Par] pool, which is what makes cancellation reach
    sibling tasks.
 
    Fault injection ([XQ_FAULTS=<seed>:<rate>], or [set_faults]) drives
    two deterministic splitmix64 streams: one consulted by [Par] before
-   each [Domain.spawn] (an injected failure makes the pool fall back to
-   the sequential path), one consulted at governor tick points (an
-   injected trip raises the same [XQENG0002] a real allocation-pressure
-   trip would). Both are designed so an injected run either completes
-   byte-identically to the clean run or fails closed with a structured
-   [XQENG*] error. *)
+   queueing each fork-join sibling on its domain pool (an injected
+   failure makes that task fall back to the sequential path), one
+   consulted at governor tick points (an injected trip raises the same
+   [XQENG0002] a real allocation-pressure trip would). Both are
+   designed so an injected run either completes byte-identically to the
+   clean run or fails closed with a structured [XQENG*] error. *)
 
 module Xerror = Xq_xdm.Xerror
 
@@ -291,18 +291,19 @@ let crash_fault () =
 (* Two installation scopes. [active] is the historical process-wide
    slot: one query at a time, shared by every domain, which is what the
    CLI and the tests use. [scoped_key] is a per-domain overlay for the
-   query server, where several queries run concurrently on dedicated
+   query server, where several queries run concurrently on pool
    worker domains and each must tick against its own budgets; a scoped
    governor shadows the process-wide one on its domain only, and
    [Par.run_tasks] re-installs the caller's scoped governor on every
-   domain it spawns so a query's whole fork-join tree shares one
-   budget. [scoped_installs] gates the DLS lookup: when no scoped
-   governor exists anywhere (every non-server process), the hot path
-   stays the single atomic load it has always been.
+   task it runs so a query's whole fork-join tree shares one budget.
+   [scoped_installs] gates the DLS lookup: when no scoped governor
+   exists anywhere (every non-server process), the hot path stays the
+   single atomic load it has always been.
 
    Scoped installation is per-*domain*, not per-thread: sys-threads of
    one domain share its DLS slot, so a server must run each scoped
-   query on its own worker domain (or serialize). *)
+   query on a domain of its own for the query's duration — a pool
+   worker — or serialize. *)
 let active : t option Atomic.t = Atomic.make None
 
 let scoped_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)

@@ -96,7 +96,7 @@ val current : unit -> t option
 (** [with_scoped_governor g f] installs [g] for the duration of [f] on
     the {e calling domain only}, shadowing any process-wide governor
     there. This is the query server's multiplexing primitive: each
-    concurrent query runs on its own worker domain under its own scoped
+    concurrent query runs on a pool worker domain under its own scoped
     governor, so budgets, deadlines and cancellation stay per-query
     while other domains (and other queries) are untouched.
     [Par.run_tasks] re-installs the caller's scoped governor on every
@@ -256,8 +256,9 @@ val set_faults : seed:int -> rate:float -> unit
 val clear_faults : unit -> unit
 val faults_enabled : unit -> bool
 
-(** Drawn by [Par] before each [Domain.spawn]; [true] means "pretend
-    the spawn failed" and take the sequential fallback. Always [false]
+(** Drawn by [Par] before queueing each fork-join sibling on the pool;
+    [true] means "pretend no worker could be spawned" and run it
+    inline on the caller (the sequential fallback). Always [false]
     when faults are off. *)
 val spawn_fault : unit -> bool
 

@@ -22,12 +22,139 @@ let is_cancel = function
   | Xq_xdm.Xerror.Error (Xq_xdm.Xerror.XQENG0004, _) -> true
   | _ -> false
 
+(* --- the worker pool ------------------------------------------------- *)
+
+(* One process-wide pool of long-lived worker domains: never more than
+   the core count, each spawned only when queued work outnumbers the
+   parked workers, so a degree-1 run or an idle daemon spawns nothing.
+   Reusing domains instead of spawning one per request or per parallel
+   region saves the stop-the-world each spawn and termination costs,
+   and the heap growth from the pools each terminated domain hands
+   back. *)
+let pool_capacity = Domain.recommended_domain_count ()
+
+(* Counts down the jobs one submitter queued; the submitter blocks in
+   [await] until every one of them has finished, wherever it ran. *)
+type latch = { lm : Mutex.t; lc : Condition.t; mutable left : int }
+
+let latch n = { lm = Mutex.create (); lc = Condition.create (); left = n }
+
+let count_down l =
+  Mutex.lock l.lm;
+  l.left <- l.left - 1;
+  if l.left = 0 then Condition.broadcast l.lc;
+  Mutex.unlock l.lm
+
+let await l =
+  Mutex.lock l.lm;
+  while l.left > 0 do
+    Condition.wait l.lc l.lm
+  done;
+  Mutex.unlock l.lm
+
+(* A job never raises: it records its own outcome. It runs exactly once,
+   on whichever side takes it out of the queue under [lock] — a worker
+   popping it, or its submitter reclaiming it to run inline. *)
+type job = { run : unit -> unit; done_ : latch }
+
+let lock = Mutex.create ()
+let nonempty = Condition.create ()
+let queue : job Queue.t = Queue.create ()
+let workers = ref 0 (* spawned, under [lock] *)
+let idle = ref 0 (* parked in [worker], under [lock] *)
+
+let locked f = Mutex.protect lock f
+
+let finish j =
+  j.run ();
+  count_down j.done_
+
+let rec worker () =
+  Mutex.lock lock;
+  while Queue.is_empty queue do
+    incr idle;
+    Condition.wait nonempty lock;
+    decr idle
+  done;
+  let j = Queue.pop queue in
+  Mutex.unlock lock;
+  finish j;
+  worker ()
+
+(* Queue [jobs], then spawn as many workers as the queue outnumbers the
+   parked ones, up to capacity. Slots are reserved under the lock and
+   the spawns made outside it; a failed spawn gives its slot back and
+   leaves the job queued for its submitter to reclaim. *)
+let submit jobs =
+  let spawn =
+    locked (fun () ->
+        List.iter
+          (fun j ->
+            Queue.push j queue;
+            Condition.signal nonempty)
+          jobs;
+        let n =
+          max 0 (min (pool_capacity - !workers) (Queue.length queue - !idle))
+        in
+        workers := !workers + n;
+        n)
+  in
+  for _ = 1 to spawn do
+    match Domain.spawn worker with
+    | _ -> ()
+    | exception e ->
+      locked (fun () -> decr workers);
+      warn_fallback (Printexc.to_string e)
+  done
+
+(* Take back every job of [l] no worker has started yet. *)
+let reclaim l =
+  locked (fun () ->
+      let mine, rest =
+        List.partition
+          (fun j -> j.done_ == l)
+          (List.of_seq (Queue.to_seq queue))
+      in
+      Queue.clear queue;
+      List.iter (fun j -> Queue.push j queue) rest;
+      mine)
+
+let pool_workers () = locked (fun () -> !workers)
+let pool_queued () = locked (fun () -> Queue.length queue)
+
+let on_pool f =
+  let out = ref None and l = latch 1 in
+  let j =
+    {
+      run =
+        (fun () ->
+          out := Some (match f () with v -> Ok v | exception e -> Error e));
+      done_ = l;
+    }
+  in
+  submit [ j ];
+  (* no worker exists and none could be spawned: hand [f] back *)
+  if pool_workers () = 0 && reclaim l <> [] then None
+  else begin
+    await l;
+    match !out with
+    | Some (Ok v) -> Some v
+    | Some (Error e) -> raise e
+    | None -> assert false
+  end
+
+(* --- fork-join ---------------------------------------------------------- *)
+
 (* Run every task to completion: task 0 on the calling domain, the rest
-   on fresh domains. A spawn failure (real, or injected via XQ_FAULTS)
-   downgrades that task to the caller's domain — same output, no
+   queued on the pool. The join first reclaims and runs inline every
+   sibling no worker has started, then waits for the ones that were —
+   so a fork-join nested inside a pooled job never waits on a worker
+   that is not already running its task, and cannot deadlock however
+   deep it nests. A spawn failure (real, or injected via XQ_FAULTS)
+   downgrades a task to the caller's domain — same output, no
    parallelism. A failing task marks an abort on the installed governor
    so siblings that tick cancel early instead of running to completion;
-   the marks are released once every domain has joined. If several
+   the marks are released once every task has finished. If several
    tasks raise, re-raise the lowest-indexed *real* exception — for
    chunked maps this is exactly the exception sequential left-to-right
    evaluation would have raised first; sibling cancellations (XQENG0004)
@@ -41,10 +168,11 @@ let run_tasks (tasks : (unit -> unit) array) =
     (* A process-wide governor is visible from any domain, but a
        *scoped* one (the query server's per-query overlay) lives in the
        caller's domain-local slot — capture it here and re-install it on
-       every task, so a spawned worker ticks, charges and aborts against
-       the same budgets as the domain that forked it. Re-installing on
-       the caller's own (or an inline-fallback) task is a harmless
-       re-entry: it shadows the slot with the value it already holds. *)
+       every task, so a pooled worker ticks, charges and aborts against
+       the same budgets as the domain that forked it, and leaves the
+       worker's slot as it found it. Re-installing on the caller's own
+       (or an inline) task is a harmless re-entry: it shadows the slot
+       with the value it already holds. *)
     let scoped = Governor.scoped_current () in
     let guarded i () =
       Governor.with_scoped_opt scoped (fun () ->
@@ -53,26 +181,22 @@ let run_tasks (tasks : (unit -> unit) array) =
             errs.(i) <- Some e;
             Governor.begin_abort ())
     in
-    let inline = ref [] in
-    let domains =
-      Array.init (nt - 1) (fun k ->
-          let i = k + 1 in
-          if Governor.spawn_fault () then begin
+    let inline, pooled =
+      List.partition
+        (fun _ ->
+          Governor.spawn_fault ()
+          && begin
             warn_fallback "injected fault";
-            inline := i :: !inline;
-            None
-          end
-          else
-            match Domain.spawn (guarded i) with
-            | d -> Some d
-            | exception e ->
-              warn_fallback (Printexc.to_string e);
-              inline := i :: !inline;
-              None)
+            true
+          end)
+        (List.init (nt - 1) succ)
     in
+    let l = latch (List.length pooled) in
+    submit (List.map (fun i -> { run = guarded i; done_ = l }) pooled);
     guarded 0 ();
-    List.iter (fun i -> guarded i ()) (List.rev !inline);
-    Array.iter (function Some d -> Domain.join d | None -> ()) domains;
+    List.iter (fun i -> guarded i ()) inline;
+    List.iter finish (reclaim l);
+    await l;
     let first_real = ref None and first_any = ref None in
     Array.iter
       (function

@@ -41,19 +41,23 @@ type counters = {
   mutable n_drain_cancelled : int;
 }
 
+(* One admitted request, from admission to its response. [gov] is its
+   scoped governor once the query has created it; [cancelled] reaches a
+   request still waiting in the pool queue, which has no governor yet. *)
+type ticket = { mutable gov : Governor.t option; mutable cancelled : bool }
+
 type t = {
   cfg : config;
   house : Governor.t;
   plan_cache : Plan_cache.t;
   doc_store : Doc_store.t;
   lock : Mutex.t;  (* guards counters (admission decisions included)
-                      and the in-flight governor table *)
+                      and the in-flight table *)
   counters : counters;
-  inline_lock : Mutex.t;  (* serializes the no-spare-domain fallback *)
+  inline_lock : Mutex.t;  (* serializes the no-pool-worker fallback *)
   draining : bool Atomic.t;  (* flipped from signal handlers: Atomic.set
                                 is async-signal-safe, Mutex.lock is not *)
-  mutable inflight : (int * Governor.t) list;
-  mutable next_query_id : int;
+  mutable inflight : ticket list;
 }
 
 let create ?(config = default_config) () =
@@ -96,7 +100,6 @@ let create ?(config = default_config) () =
     inline_lock = Mutex.create ();
     draining = Atomic.make false;
     inflight = [];
-    next_query_id = 0;
   }
 
 let house t = t.house
@@ -114,30 +117,44 @@ let active t = locked t (fun () -> t.counters.n_active)
 let request_drain t = Atomic.set t.draining true
 let draining t = Atomic.get t.draining
 
-(* The in-flight table: every executing query's scoped governor, so the
-   drain deadline can reach all of them with cooperative cancellation. *)
-let register_inflight t g =
-  locked t (fun () ->
-      let id = t.next_query_id in
-      t.next_query_id <- id + 1;
-      t.inflight <- (id, g) :: t.inflight;
-      id)
+(* The in-flight table: a ticket per admitted request, queued or
+   executing, so the drain deadline can reach all of them with
+   cooperative cancellation. *)
+let register_inflight t =
+  let k = { gov = None; cancelled = false } in
+  locked t (fun () -> t.inflight <- k :: t.inflight);
+  k
 
-let unregister_inflight t id =
-  locked t (fun () ->
-      t.inflight <- List.filter (fun (i, _) -> i <> id) t.inflight)
+let unregister_inflight t k =
+  locked t (fun () -> t.inflight <- List.filter (( != ) k) t.inflight)
 
-(* Cancel every in-flight query (each raises XQENG0004 within one
-   governor stride and answers its client with a clean ERR). Returns
-   how many were cancelled. *)
+(* The request's governor exists: record it, and cancel it at once if
+   the drain got to the ticket first. *)
+let attach_governor t k g =
+  locked t (fun () ->
+      k.gov <- Some g;
+      if k.cancelled then Governor.cancel g)
+
+(* The first thing a request does on its worker: a request cancelled
+   while it waited in the pool queue fails exactly like an executing
+   one its governor cancelled, before producing anything. *)
+let check_cancelled t k =
+  if locked t (fun () -> k.cancelled) then
+    Xerror.fail Xerror.XQENG0004 "query cancelled"
+
+(* Cancel every in-flight query, queued or executing (each raises
+   XQENG0004 — at its start or within one governor stride — and answers
+   its client with a clean ERR). Returns how many were cancelled. *)
 let cancel_inflight t =
-  let victims = locked t (fun () -> t.inflight) in
-  List.iter (fun (_, g) -> Governor.cancel g) victims;
-  let n = List.length victims in
-  if n > 0 then
-    locked t (fun () ->
-        t.counters.n_drain_cancelled <- t.counters.n_drain_cancelled + n);
-  n
+  locked t (fun () ->
+      List.iter
+        (fun k ->
+          k.cancelled <- true;
+          Option.iter Governor.cancel k.gov)
+        t.inflight;
+      let n = List.length t.inflight in
+      t.counters.n_drain_cancelled <- t.counters.n_drain_cancelled + n;
+      n)
 
 (* --- request knobs over server defaults -------------------------------- *)
 
@@ -258,11 +275,13 @@ let crash_point what =
 let run_request t (rq : Protocol.run_request) =
   let config = Pipeline.resolve ~base:(base_config t) rq.rq_knobs in
   let key = Pipeline.cache_key ~config rq.rq_source in
-  (* Everything below runs on the worker domain: compilation (so a
-     parse error costs the client, not the accept loop), document
-     loading (resident store for paths, per-query parse for inline
-     XML) and evaluation under the query's own scoped governor. *)
+  (* Everything below runs on a pool worker: compilation (so a parse
+     error costs the client, not the accept loop), document loading
+     (resident store for paths, per-query parse for inline XML) and
+     evaluation under the query's own scoped governor. *)
+  let ticket = register_inflight t in
   let work () =
+    check_cancelled t ticket;
     crash_point "query start";
     let compiled =
       Plan_cache.find_or_add t.plan_cache key (fun () ->
@@ -285,32 +304,27 @@ let run_request t (rq : Protocol.run_request) =
         else (Some (fun () -> Xq_xml.Xml_parse.parse xml), None)
     in
     (* every server query is governed (unlimited if no knob set a
-       limit) and registered while it runs, so a drain deadline can
-       cancel it cooperatively *)
-    let slot = ref None in
-    Fun.protect
-      ~finally:(fun () ->
-        match !slot with Some id -> unregister_inflight t id | None -> ())
-      (fun () ->
-        let report =
-          Pipeline.run ~scope:`Domain ~force_governor:true
-            ~on_governor:(fun g -> slot := Some (register_inflight t g))
-            ~config ~indent:rq.rq_indent ~compiled ?load_doc ?stream_source ()
-        in
-        crash_point "before response";
-        (* match the CLI byte for byte: [xq run] prints the rendering
-           with print_endline, so the payload carries the trailing
-           newline *)
-        report.Pipeline.r_output ^ "\n")
+       limit), so a drain deadline can cancel it cooperatively *)
+    let report =
+      Pipeline.run ~scope:`Domain ~force_governor:true
+        ~on_governor:(attach_governor t ticket) ~config ~indent:rq.rq_indent
+        ~compiled ?load_doc ?stream_source ()
+    in
+    crash_point "before response";
+    (* match the CLI byte for byte: [xq run] prints the rendering with
+       print_endline, so the payload carries the trailing newline *)
+    report.Pipeline.r_output ^ "\n"
   in
-  match Domain.spawn work with
-  | domain -> Domain.join domain
-  | exception _ ->
-    (* no spare domain (the runtime caps them): run on this thread,
-       serialized so two inline queries never share the calling
-       domain's scoped-governor slot *)
-    Mutex.lock t.inline_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.inline_lock) work
+  Fun.protect
+    ~finally:(fun () -> unregister_inflight t ticket)
+    (fun () ->
+      match Xq_par.Par.on_pool work with
+      | Some payload -> payload
+      | None ->
+        (* no pool worker can be spawned: run on this thread,
+           serialized so two inline queries never share the calling
+           domain's scoped-governor slot *)
+        Mutex.protect t.inline_lock work)
 
 (* --- stats -------------------------------------------------------------- *)
 
@@ -336,6 +350,8 @@ let stats_text t =
   line "err_resource" c.n_err_resource;
   line "admission_rejects" c.n_rejected;
   line "drain_cancelled" c.n_drain_cancelled;
+  line "pool_workers" (Xq_par.Par.pool_workers ());
+  line "pool_queued" (Xq_par.Par.pool_queued ());
   line "conn_drops" c.n_conn_drops;
   line "plan_hits" p.Plan_cache.p_hits;
   line "plan_misses" p.Plan_cache.p_misses;

@@ -14,10 +14,13 @@
       [RETRY-AFTER-MS] backoff hint instead of being started and
       starved. Refusal is cheap and retryable; the PR 4 spill machinery
       already makes admitted queries degrade rather than die.
-    - Each admitted query runs on a dedicated worker domain under its
-      own {e scoped} governor ({!Xq_governor.Governor.with_scoped_governor}),
-      so per-query deadlines, budgets and cancellation never touch a
-      neighbour. Execution goes through {!Xq_pipeline.Pipeline} — the
+    - Each admitted query runs on a worker of the process's one
+      long-lived domain pool ({!Xq_par.Par.on_pool}; at most one worker
+      per core, spawned lazily and reused), under its own {e scoped}
+      governor ({!Xq_governor.Governor.with_scoped_governor}), so
+      per-query deadlines, budgets and cancellation never touch a
+      neighbour. Admitted queries beyond the worker count wait in the
+      pool's queue. Execution goes through {!Xq_pipeline.Pipeline} — the
       identical compile-and-run path the CLI, REPL and fuzzer use, so
       server output is byte-identical to [xq run].
 
@@ -26,8 +29,8 @@
     accept loop closes the listener at once, new [RUN]s on surviving
     connections are refused with [XQENG0007] plus a [RETRY-AFTER-MS]
     hint of the drain window, in-flight queries get
-    [c_drain_timeout_ms] to finish, and any stragglers are then
-    cooperatively cancelled through their registered scoped governors
+    [c_drain_timeout_ms] to finish, and any stragglers — executing, or
+    still waiting in the pool queue — are then cooperatively cancelled
     ([XQENG0004] — a clean ERR to their clients, never partial
     output). {!serve_unix} returns a {!drain_report} once drained.
 
@@ -91,21 +94,24 @@ val request_drain : t -> unit
 
 val draining : t -> bool
 
-(** Cancel every in-flight query's scoped governor (each trips
-    [XQENG0004] within a stride and answers its client with a clean
-    ERR). Returns how many were cancelled. The drain path calls this
+(** Cancel every admitted query: an executing one through its scoped
+    governor (it trips [XQENG0004] within a stride), one still queued
+    for a pool worker before it starts (it fails with the same
+    [XQENG0004]). Each answers its client with a clean ERR. Returns how
+    many were cancelled. The drain path calls this
     when the timeout expires; exposed for tests. *)
 val cancel_inflight : t -> int
 
 (** Handle one command synchronously; [Run] blocks until the query
-    finishes (on its own worker domain). Never raises — every failure
+    finishes (on a pool worker). Never raises — every failure
     is an [Error] response carrying the CLI exit-code family. *)
 val handle : t -> Protocol.command -> Protocol.response
 
 (** The [STATS] payload: one [key value] per line — pid, drain state,
     served/error counters by exit family, admission and connection
-    rejects, drain cancellations, connection drops, both caches'
-    hit/miss/eviction counters, the key dictionary's size, and the
+    rejects, drain cancellations, the domain pool's spawned workers and
+    queued jobs ([pool_workers], [pool_queued]), connection drops, both
+    caches' hit/miss/eviction counters, the key dictionary's size, and the
     batch size of the server's own configuration ([batch_size]). *)
 val stats_text : t -> string
 

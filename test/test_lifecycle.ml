@@ -361,6 +361,73 @@ let test_drain_cancels_stragglers () =
   Alcotest.(check int) "the straggler was cancelled" 1
     report.Server.dr_cancelled
 
+let test_drain_cancels_queued () =
+  (* every pool worker is busy with a slow query and one more admitted
+     request waits in the pool queue when the 100 ms drain deadline
+     passes: the queued one gets the same clean XQENG0004 ERR as the
+     executing ones, never output, and counts in drain_cancelled *)
+  let workers = Domain.recommended_domain_count () in
+  let doc = Protocol.Doc_inline (slow_doc 150) in
+  let config =
+    {
+      Server.default_config with
+      Server.c_drain_timeout_ms = 100;
+      c_max_concurrent = workers + 1;
+    }
+  in
+  let degree_one =
+    Protocol.Run
+      {
+        Protocol.rq_source = slow_query;
+        rq_doc = doc;
+        rq_knobs = { Pipeline.default_knobs with Pipeline.k_parallel = Some 1 };
+        rq_indent = false;
+      }
+  in
+  let drained_stats = ref "" in
+  let report =
+    with_server ~config (fun t path ->
+        let conns = List.init (workers + 1) (fun _ -> connect path) in
+        Fun.protect
+          ~finally:(fun () -> List.iter close_conn conns)
+          (fun () ->
+            List.iter
+              (fun (_, _, oc) -> Protocol.write_command oc degree_one)
+              conns;
+            let rec settle k =
+              if k = 0 then
+                Alcotest.fail "no request ever waited in the pool queue";
+              if
+                not
+                  (Server.active t = workers + 1
+                  && Xq_par.Par.pool_queued () = 1)
+              then begin
+                Thread.delay 0.01;
+                settle (k - 1)
+              end
+            in
+            settle 1000;
+            Server.request_drain t;
+            List.iteri
+              (fun i (_, ic, _) ->
+                match Protocol.read_response ic with
+                | Protocol.Error { code; exit; message; _ } ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "request %d cancelled cooperatively" i)
+                    "XQENG0004" code;
+                  Alcotest.(check int) "resource exit family" 4 exit;
+                  Alcotest.(check bool) "the governor's own message" true
+                    (contains message "query cancelled")
+                | Protocol.Payload _ ->
+                  Alcotest.failf "request %d outlived the drain deadline" i)
+              conns;
+            drained_stats := Server.stats_text t))
+  in
+  Alcotest.(check int) "every admitted request was cancelled" (workers + 1)
+    report.Server.dr_cancelled;
+  Alcotest.(check (option int)) "STATS drain_cancelled" (Some (workers + 1))
+    (stat_of_text !drained_stats "drain_cancelled")
+
 let test_inprocess_socket_guard () =
   ignore
     (with_server (fun _t path ->
@@ -845,6 +912,8 @@ let suites =
           test_drain_completes_inflight;
         Alcotest.test_case "drain deadline cancels stragglers" `Quick
           test_drain_cancels_stragglers;
+        Alcotest.test_case "drain deadline cancels queued requests" `Quick
+          test_drain_cancels_queued;
       ] );
     ( "lifecycle-client",
       [

@@ -1,7 +1,7 @@
 (* Failure semantics of the Par fork-join pool: deterministic exception
    choice, degenerate inputs, spawn-failure fallback (exercised through
-   the fault-injection hook), and governor-driven sibling
-   cancellation. *)
+   the fault-injection hook), governor-driven sibling cancellation, and
+   the long-lived worker pool itself (nesting past its size, reuse). *)
 
 open Helpers
 module Par = Xq_par.Par
@@ -154,9 +154,163 @@ let cancellation_tests =
             | exception Xerror.Error (Xerror.XQENG0004, _) -> ()));
   ]
 
+(* --- the long-lived worker pool ------------------------------------------ *)
+
+let cores = max 1 (Domain.recommended_domain_count ())
+
+let check_pool_bound () =
+  check_bool
+    (Printf.sprintf "pool_workers %d <= %d cores" (Par.pool_workers ()) cores)
+    true
+    (Par.pool_workers () <= cores)
+
+(* A one-shot barrier for [n] parties; a wait gives up after 30 s so a
+   pool that cannot run every party at once fails instead of hanging. *)
+let barrier n =
+  let arrived = Atomic.make 0 in
+  fun () ->
+    Atomic.incr arrived;
+    let give_up = Unix.gettimeofday () +. 30.0 in
+    while Atomic.get arrived < n do
+      if Unix.gettimeofday () > give_up then failwith "barrier timed out";
+      Domain.cpu_relax ()
+    done
+
+(* Par.map and Par.sort at degree [d] must equal their sequential
+   counterparts byte for byte. *)
+let check_map_sort d seed =
+  let src = Array.init 2000 (fun i -> ((i * 7919) + seed) mod 1000) in
+  let mapped = Par.map ~degree:d ~min_chunk:1 (fun i -> i * 3) src in
+  let sorted = Array.copy src in
+  Par.sort ~degree:d ~min_chunk:8 compare sorted;
+  let expected_sort = Array.copy src in
+  Array.stable_sort compare expected_sort;
+  mapped = Array.map (fun i -> i * 3) src && sorted = expected_sort
+
+let pool_tests =
+  [
+    test "nested fork-join deeper than the pool completes" (fun () ->
+        (* three levels of (cores + 2) tasks each: far more runnable
+           tasks than workers at every level *)
+        let width = cores + 2 in
+        let leaves = Atomic.make 0 and ok = Atomic.make true in
+        let rec fork depth =
+          if depth = 0 then begin
+            if not (check_map_sort 4 (Atomic.fetch_and_add leaves 1)) then
+              Atomic.set ok false
+          end
+          else Par.run_tasks (Array.init width (fun _ () -> fork (depth - 1)))
+        in
+        fork 3;
+        check_int "every leaf ran" (width * width * width) (Atomic.get leaves);
+        check_bool "map and sort byte-identical at every leaf" true
+          (Atomic.get ok);
+        check_pool_bound ());
+    test "fork-join inside every busy worker completes" (fun () ->
+        (* every worker is held inside a pooled job at the same moment
+           (the barrier), then each forks four tasks that fork again
+           (map and sort at degree 4): no worker is free, so every
+           sibling must be reclaimed by its own join *)
+        let meet = barrier cores in
+        let results = Array.make cores None in
+        let clients =
+          List.init cores (fun i ->
+              Thread.create
+                (fun () ->
+                  results.(i) <-
+                    Par.on_pool (fun () ->
+                        meet ();
+                        let inner = Array.make 4 true in
+                        Par.run_tasks
+                          (Array.init 4 (fun k () ->
+                               inner.(k) <- check_map_sort 4 ((i * 4) + k)));
+                        Array.for_all Fun.id inner))
+                ())
+        in
+        List.iter Thread.join clients;
+        Array.iteri
+          (fun i r ->
+            check_bool (Printf.sprintf "client %d ran on the pool" i) true
+              (r = Some true))
+          results;
+        check_int "nothing left queued" 0 (Par.pool_queued ());
+        check_pool_bound ());
+    test "a reused worker starts clean after a job that tripped" (fun () ->
+        (* enough rounds that every worker runs a tripping job and is
+           then handed another one *)
+        for round = 1 to 4 * cores do
+          let g = Governor.create () in
+          (match
+             Par.on_pool (fun () ->
+                 Governor.with_scoped_governor g (fun () ->
+                     Par.run_tasks
+                       (Array.init 4 (fun k () ->
+                            if k = 0 then begin
+                              Governor.cancel g;
+                              for _ = 1 to 1024 do
+                                Governor.tick ()
+                              done
+                            end))))
+           with
+          | _ -> Alcotest.failf "round %d: the cancelled job did not trip" round
+          | exception Xerror.Error (Xerror.XQENG0004, _) -> ());
+          check_int "abort marks released" 0 (Governor.pending_aborts g);
+          match
+            Par.on_pool (fun () ->
+                (Governor.scoped_current () = None, Governor.current () = None))
+          with
+          | Some (no_scoped, no_current) ->
+            check_bool "no scoped governor left behind" true no_scoped;
+            check_bool "no governor installed" true no_current
+          | None -> Alcotest.fail "no pool worker"
+        done;
+        check_pool_bound ());
+    test "an injected spawn fault warns exactly once per process" (fun () ->
+        (* the fallback warning is once per process, so count it in a
+           fresh one: this executable, running only the rate-1.0
+           fallback case (several injected faults, map and sort) *)
+        let err = Filename.temp_file "xq-par" ".err" in
+        let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+        let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        let pid =
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.close fd;
+              Unix.close devnull)
+            (fun () ->
+              Unix.create_process Sys.executable_name
+                (* --verbose: the outputs go to our pipes, and no log
+                   directory of its own is written *)
+                [|
+                  Sys.executable_name; "test"; "par.fallback"; "0"; "--verbose";
+                |]
+                Unix.stdin devnull fd)
+        in
+        let _, status = Unix.waitpid [] pid in
+        let ic = open_in_bin err in
+        let text = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        Sys.remove err;
+        check_bool "fallback case passed" true (status = Unix.WEXITED 0);
+        let warnings =
+          List.filter
+            (String.starts_with
+               ~prefix:"xq: warning: Domain.spawn unavailable")
+            (String.split_on_char '\n' text)
+        in
+        Alcotest.(check (list string))
+          "one warning, naming the injected fault"
+          [
+            "xq: warning: Domain.spawn unavailable (injected fault); falling \
+             back to sequential execution";
+          ]
+          warnings);
+  ]
+
 let suites =
   [
     ("par.run-tasks", run_tasks_tests);
     ("par.fallback", fallback_tests);
     ("par.cancellation", cancellation_tests);
+    ("par.pool", pool_tests);
   ]

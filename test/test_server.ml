@@ -735,53 +735,120 @@ let corpus_entries =
     |> List.sort compare
   else []
 
+(* [clients] threads replay the corpus [rounds] times each through the
+   server at [path], every request carrying [knobs]; returns every
+   divergence from [expected name]. *)
+let replay_corpus ?(knobs = Pipeline.default_knobs) ~clients ~rounds ~expected
+    path =
+  let failures = ref [] in
+  let fail_lock = Mutex.create () in
+  let note f =
+    Mutex.lock fail_lock;
+    failures := f :: !failures;
+    Mutex.unlock fail_lock
+  in
+  let worker tid =
+    (* each thread starts at a different corpus offset so the plan
+       cache sees interleaved, not phased, access *)
+    let n = List.length corpus_entries in
+    for round = 0 to rounds - 1 do
+      List.iteri
+        (fun i _ ->
+          let name = List.nth corpus_entries ((i + tid + round) mod n) in
+          let base = Filename.concat corpus_dir name in
+          let doc = Protocol.Doc_inline (read_file (base ^ ".xml")) in
+          let cmd =
+            Protocol.Run
+              {
+                Protocol.rq_source = read_file (base ^ ".xq");
+                rq_doc = doc;
+                rq_knobs = knobs;
+                rq_indent = false;
+              }
+          in
+          match request path cmd with
+          | Protocol.Payload got when got = expected name -> ()
+          | Protocol.Payload got ->
+            note
+              (Printf.sprintf "%s: %S <> expected %S" name got (expected name))
+          | Protocol.Error { message; _ } ->
+            note (Printf.sprintf "%s: ERR %s" name message))
+        corpus_entries
+    done
+  in
+  let threads = List.init clients (fun tid -> Thread.create worker tid) in
+  List.iter Thread.join threads;
+  !failures
+
+let check_no_divergence = function
+  | [] -> ()
+  | f :: _ as failures ->
+    Alcotest.failf "%d divergence(s), first: %s" (List.length failures) f
+
+let stat t key =
+  String.split_on_char '\n' (Server.stats_text t)
+  |> List.find_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ k; v ] when k = key -> int_of_string_opt v
+         | _ -> None)
+
 let test_concurrent_corpus_replay () =
   Alcotest.(check bool) "corpus present" true (corpus_entries <> []);
   with_server (fun t path ->
-      let failures = ref [] in
-      let fail_lock = Mutex.create () in
-      let clients = 4 in
-      let rounds = 2 in
-      let worker tid =
-        (* each thread starts at a different corpus offset so the plan
-           cache sees interleaved, not phased, access *)
-        let n = List.length corpus_entries in
-        for round = 0 to rounds - 1 do
-          List.iteri
-            (fun i _ ->
-              let name = List.nth corpus_entries ((i + tid + round) mod n) in
-              let base = Filename.concat corpus_dir name in
-              let expected = read_file (base ^ ".expected") in
-              let doc = Protocol.Doc_inline (read_file (base ^ ".xml")) in
-              match request path (run_cmd ~doc (read_file (base ^ ".xq"))) with
-              | Protocol.Payload got when got = expected -> ()
-              | Protocol.Payload got ->
-                Mutex.lock fail_lock;
-                failures :=
-                  Printf.sprintf "%s: %S <> expected %S" name got expected
-                  :: !failures;
-                Mutex.unlock fail_lock
-              | Protocol.Error { message; _ } ->
-                Mutex.lock fail_lock;
-                failures := Printf.sprintf "%s: ERR %s" name message :: !failures;
-                Mutex.unlock fail_lock)
-            corpus_entries
-        done
-      in
-      let threads = List.init clients (fun tid -> Thread.create worker tid) in
-      List.iter Thread.join threads;
-      (match !failures with
-       | [] -> ()
-       | f :: _ ->
-         Alcotest.failf "%d divergence(s), first: %s" (List.length !failures) f);
+      let clients = 4 and rounds = 2 in
+      check_no_divergence
+        (replay_corpus ~clients ~rounds path ~expected:(fun name ->
+             read_file (Filename.concat corpus_dir name ^ ".expected")));
       let total = clients * rounds * List.length corpus_entries in
-      let s = Server.stats_text t in
-      ignore s;
       Alcotest.(check int) "all served" total
         ((Plan_cache.stats (Server.plans t)).Plan_cache.p_hits
         + (Plan_cache.stats (Server.plans t)).Plan_cache.p_misses);
       Alcotest.(check bool) "plans shared across clients" true
-        ((Plan_cache.stats (Server.plans t)).Plan_cache.p_hits > 0))
+        ((Plan_cache.stats (Server.plans t)).Plan_cache.p_hits > 0);
+      (* the replay ran on the long-lived pool: never more workers than
+         cores, nothing left queued *)
+      let cores = Domain.recommended_domain_count () in
+      (match stat t "pool_workers" with
+       | Some w ->
+         Alcotest.(check bool)
+           (Printf.sprintf "pool_workers %d <= %d cores" w cores)
+           true
+           (w >= 1 && w <= cores)
+       | None -> Alcotest.fail "STATS lacks pool_workers");
+      Alcotest.(check (option int))
+        "pool_queued" (Some 0) (stat t "pool_queued"))
+
+let test_parallel_clients_match_degree_one () =
+  (* four clients at PARALLEL 4 fork-join inside pooled requests that
+     already occupy the workers; every answer must equal the isolated
+     degree-1 run of the same query *)
+  let isolated name =
+    let base = Filename.concat corpus_dir name in
+    let xml = read_file (base ^ ".xml") in
+    let r =
+      Pipeline.run
+        ~knobs:{ Pipeline.default_knobs with Pipeline.k_parallel = Some 1 }
+        ~source:(read_file (base ^ ".xq"))
+        ~load_doc:(fun () -> Xq_xml.Xml_parse.parse xml)
+        ()
+    in
+    r.Pipeline.r_output ^ "\n"
+  in
+  let expected =
+    let table = Hashtbl.create 64 in
+    List.iter (fun n -> Hashtbl.replace table n (isolated n)) corpus_entries;
+    Hashtbl.find table
+  in
+  with_server (fun t path ->
+      check_no_divergence
+        (replay_corpus
+           ~knobs:{ Pipeline.default_knobs with Pipeline.k_parallel = Some 4 }
+           ~clients:4 ~rounds:1 ~expected path);
+      match stat t "pool_workers" with
+      | Some w ->
+        Alcotest.(check bool) "pool_workers within the core count" true
+          (w <= Domain.recommended_domain_count ())
+      | None -> Alcotest.fail "STATS lacks pool_workers")
 
 (* --- qgen sweep through the server path --------------------------------- *)
 
@@ -1009,6 +1076,8 @@ let suites =
       [
         Alcotest.test_case "4-client corpus replay byte-identical" `Quick
           test_concurrent_corpus_replay;
+        Alcotest.test_case "4 PARALLEL 4 clients = isolated degree 1" `Quick
+          test_parallel_clients_match_degree_one;
         Alcotest.test_case "qgen sweep through the server" `Quick
           test_qgen_server_sweep;
       ] );

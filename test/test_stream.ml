@@ -242,6 +242,89 @@ let exec_bounded_memory () =
     true
     (peak_s * 2 < peak_m)
 
+let space_overhead () = (Gc.get ()).Gc.space_overhead
+
+let exec_tight_gc_counted () =
+  (* scan A tightens, scan B joins, A finishes first, then B: the
+     pacing stays tight until the last one leaves and is then restored
+     to what it was before A — never to B's tightened snapshot *)
+  let original = space_overhead () in
+  let step = Atomic.make 0 in
+  let wait_for n =
+    let give_up = Unix.gettimeofday () +. 30.0 in
+    while Atomic.get step < n do
+      if Unix.gettimeofday () > give_up then failwith "interleaving timed out";
+      Domain.cpu_relax ()
+    done
+  in
+  let a =
+    Domain.spawn (fun () ->
+        Xq_algebra.Exec.with_tight_gc (fun () ->
+            Atomic.set step 1;
+            wait_for 2);
+        Atomic.set step 3)
+  in
+  let b =
+    Domain.spawn (fun () ->
+        wait_for 1;
+        Xq_algebra.Exec.with_tight_gc (fun () ->
+            Atomic.set step 2;
+            wait_for 3;
+            space_overhead ()))
+  in
+  Domain.join a;
+  check_int "still tight after the first scan left" 30 (Domain.join b);
+  check_int "restored after the last scan" original (space_overhead ())
+
+let exec_overlapping_bounded_streams () =
+  (* two governed streamed runs on two domains: the short one starts
+     first, the long one joins once the first has tightened the pacing,
+     so the first usually ends while the second still runs — output
+     stays identical, and the pacing they shared is restored *)
+  let small = orders_doc 4000 and large = orders_doc 40_000 in
+  let original = space_overhead () in
+  let run doc () =
+    let g = Governor.create ~spill_watermark_bytes:8192 ~max_mem_mb:512 () in
+    Governor.with_scoped_governor g (fun () -> streamed_result group_q doc)
+  in
+  let a = Domain.spawn (run small) in
+  let give_up = Unix.gettimeofday () +. 10.0 in
+  while space_overhead () <> 30 && Unix.gettimeofday () < give_up do
+    Domain.cpu_relax ()
+  done;
+  let b = Domain.spawn (run large) in
+  check_string "first scan" (materialized_result group_q small) (Domain.join a);
+  check_string "second scan" (materialized_result group_q large)
+    (Domain.join b);
+  check_int "GC pacing back to its original value" original (space_overhead ())
+
+let exec_parse_ahead_capped () =
+  (* no watermark, default batch: the vector handed downstream is still
+     bounded by the fixed parse-ahead cap in subtree-estimate bytes *)
+  let n = 10_000 in
+  let doc = orders_doc n in
+  let cap = Xq_algebra.Exec.stream_ahead_bytes in
+  let vectors = ref [] in
+  Xq_algebra.Exec.scan_vectors ~batch:4096
+    ~path:(path_of "for $o in /orders/order return $o")
+    (`String doc)
+    (fun ~bytes vec -> vectors := (bytes, Array.length vec) :: !vectors);
+  let vectors = List.rev !vectors in
+  (match vectors with
+   | (bytes, len) :: _ ->
+     check_bool
+       (Printf.sprintf "first vector's estimates (%d B) within the cap (%d B)"
+          bytes cap)
+       true (bytes <= cap);
+     check_bool
+       (Printf.sprintf "the cap, not the batch, ended it (%d subtrees)" len)
+       true (len < 4096)
+   | [] -> Alcotest.fail "nothing scanned");
+  check_bool "every vector within the cap" true
+    (List.for_all (fun (bytes, _) -> bytes <= cap) vectors);
+  check_int "every subtree handed downstream once" n
+    (List.fold_left (fun acc (_, len) -> acc + len) 0 vectors)
+
 let exec_fault_sweep () =
   (* >=20 seeds of injected read-I/O faults: every run either fails with
      a clean structured error or produces byte-identical output — never
@@ -367,6 +450,12 @@ let suites =
         test "composes with hash-group spill" exec_spill_composition;
         test "bounded memory past the watermark" exec_bounded_memory;
         test "read-fault sweep: clean error or identical" exec_fault_sweep;
+        test "overlapping bounded scans: counted GC pacing"
+          exec_tight_gc_counted;
+        test "overlapping bounded streams restore GC pacing"
+          exec_overlapping_bounded_streams;
+        test "parse-ahead capped in bytes without a watermark"
+          exec_parse_ahead_capped;
       ] );
     ( "stream-pipeline",
       [

@@ -753,8 +753,9 @@ return <r>{$a, count($items)}</r>|}
                 in
                 gov_str := Some gov;
                 Xq.Governor.with_governor gov (fun () ->
-                    Xq.Algebra.Exec.eval_query_stream ~check:false ~strategy
-                      ~source:(`String xml) ~path ~var ~positional query))
+                    Xq.Algebra.Exec.eval_query ~check:false ~strategy
+                      ~scan:{ source = `String xml; path; var; positional }
+                      ~context_node:(Xq.Xdm.Node.document ()) query))
           in
           let ss = Xq.Governor.stats (Option.get !gov_str) in
           record ~bench:"ablation-stream" ~query:"tax-group-order-stream"
@@ -864,9 +865,10 @@ let ablation_agg () =
                 in
                 last_gov := Some gov;
                 Xq.Governor.with_governor gov (fun () ->
-                    Xq.Algebra.Exec.eval_query_stream ~check:false
+                    Xq.Algebra.Exec.eval_query ~check:false
                       ~config:(pushdown enabled) ~strategy
-                      ~source:(`String xml) ~path ~var ~positional qgb))
+                      ~scan:{ source = `String xml; path; var; positional }
+                      ~context_node:(Xq.Xdm.Node.document ()) qgb))
           in
           let s = Xq.Governor.stats (Option.get !last_gov) in
           record ~bench:"ablation-agg" ~query:label ~size:lineitems ~groups

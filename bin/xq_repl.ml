@@ -67,7 +67,7 @@ let evaluate st source =
       match
         Xq.Pipeline.run
           ~indent:true
-          ~compiled:(Xq.Pipeline.of_query ~source query)
+          ~compiled:(Xq.Pipeline.of_query query)
           ~load_doc:(fun () -> st.doc)
           ()
       with

@@ -295,11 +295,164 @@ let scan_comparators ctx (shape : Plan.group_shape) =
   in
   fun i a b -> comparators.(i) a b
 
+(* --- the streamed scan ---------------------------------------------------- *)
+
+type scan = {
+  source : Xq_xml.Xml_stream.source;
+  path : Xq_xml.Xml_stream.path;
+  var : string;
+  positional : string option;
+}
+
+(* Bounded-memory mode trades collector idle time for footprint: the
+   default pacing (space_overhead 120) lets the major heap balloon to
+   > 2x the live set while parse garbage pours in at wire speed, and the
+   pool high-water never comes back down — the Gc-delta estimate would
+   trip the budget on memory that is mostly reusable. Tighter pacing
+   keeps the heap near the live set for the scan's duration. The pacing
+   is process state, so overlapping scans (concurrent STREAM requests)
+   share one tightening: the first to start saves the setting, the last
+   to finish restores it. *)
+let tight_gc = Mutex.create ()
+let tight_scans = ref 0
+let saved_overhead = ref 0
+
+let with_tight_gc f =
+  Mutex.protect tight_gc (fun () ->
+      if !tight_scans = 0 then begin
+        let g = Gc.get () in
+        saved_overhead := g.Gc.space_overhead;
+        Gc.set { g with Gc.space_overhead = 30 }
+      end;
+      incr tight_scans);
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect tight_gc (fun () ->
+          decr tight_scans;
+          if !tight_scans = 0 then
+            Gc.set { (Gc.get ()) with Gc.space_overhead = !saved_overhead }))
+    f
+
+(* Parse-ahead bound in subtree-estimate bytes, whatever the batch size
+   or watermark: without it an ungoverned scan would hold up to a whole
+   default vector of captured subtrees (several MB) before handing any
+   downstream. *)
+let stream_ahead_bytes = 256 * 1024
+
+(* The streamed scan's vectors: each captured subtree is charged against
+   the governor from emission until its vector is handed to [down], so
+   memory pressure sees parse-ahead data. A vector goes downstream once
+   it holds [batch] subtrees or the next one would take its summed
+   estimate past the cap — a governed scan's cap is the smaller of
+   [stream_ahead_bytes] and a slice of its watermark, since parse-ahead
+   alone would otherwise eat most of a small budget. Operators are
+   byte-identical at any vector boundary. *)
+let scan_vectors ~batch ~path source
+    (down : bytes:int -> Node.t array -> unit) =
+  let cap =
+    min stream_ahead_bytes (max (Governor.spill_watermark () / 8) 65536)
+  in
+  let held = ref 0 in
+  let release () =
+    if !held > 0 then begin
+      Governor.uncharge_bytes !held;
+      held := 0
+    end
+  in
+  let push_one, flush =
+    rebatcher batch (fun vec ->
+        down ~bytes:!held vec;
+        release ())
+  in
+  let emit ~bytes n =
+    if !held > 0 && !held + bytes > cap then flush ();
+    if bytes > 0 then begin
+      Governor.charge_bytes bytes;
+      held := !held + bytes
+    end;
+    push_one n
+  in
+  Fun.protect ~finally:release (fun () ->
+      Xq_xml.Xml_stream.scan ~path ~emit source;
+      flush ())
+
+(* A streamed run's leading FOR-EXPAND: the same operator, with the
+   byte scan as its source instead of [source] evaluated over a resident
+   tree. Each input tuple (UNIT's one seed) expands to the subtrees the
+   projection path matches, pushed downstream batch-at-a-time while
+   parsing proceeds. The scan runs at [close], so the downstream close
+   (group finish, spill replay) stays under the same GC pacing and
+   pressure callback as the scan that fed it. *)
+let scan_sink ~batch (s : scan) (down : sink) : sink =
+  let seeds = ref [] in
+  let expand seed =
+    let idx = ref 0 in
+    let tuple n =
+      incr idx;
+      let t = Smap.add s.var [ Item.Node n ] seed in
+      match s.positional with
+      | Some p -> Smap.add p (Xseq.of_int !idx) t
+      | None -> t
+    in
+    scan_vectors ~batch ~path:s.path s.source (fun ~bytes:_ nodes ->
+        down.push (Array.map tuple nodes))
+  in
+  {
+    push =
+      (fun vec ->
+        Governor.tick ();
+        seeds := vec :: !seeds);
+    close =
+      (fun () ->
+        (* Parse garbage — skipped content and already-consumed subtrees
+           — dominates the Gc-delta memory estimate during a streamed
+           scan, and nothing else collects it before the hard budget
+           check (the group's flush callback only engages once enough
+           live group state accumulates). Under pressure, collect it
+           ourselves; the growth guard keeps the collector from
+           thrashing while the estimate stays pressure-dominated.
+           Operators that register their own callback (hash-group
+           inserts) shadow this one for their scope and restore it
+           after. *)
+        let floor_words =
+          let wm = Governor.spill_watermark () in
+          let bytes =
+            if wm = max_int then 32 lsl 20 else max (wm / 8) (1 lsl 18)
+          in
+          bytes / (Sys.word_size / 8)
+        in
+        let last_heap = ref (Gc.quick_stat ()).Gc.heap_words in
+        let relieve () =
+          (* first let the chain shed retained state (group partitions
+             flush to spill files), then collect the parse garbage *)
+          down.pressure ();
+          let h = (Gc.quick_stat ()).Gc.heap_words in
+          if h - !last_heap >= floor_words then begin
+            Gc.full_major ();
+            last_heap := (Gc.quick_stat ()).Gc.heap_words
+          end
+        in
+        (* ungoverned scans keep the stock throughput-friendly pacing *)
+        let pacing f =
+          if Governor.spill_watermark () < max_int then with_tight_gc f
+          else f ()
+        in
+        pacing (fun () ->
+            Governor.with_pressure_callback relieve (fun () ->
+                List.iter (Array.iter expand) (List.rev !seeds);
+                down.close ())));
+    pressure = down.pressure;
+  }
+
 (* Build the sink for one operator. [tally] counts comparator work (key
    equality tests, sort comparisons). [parallel] is the domain-pool
-   degree; any degree produces byte-identical output. *)
-let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
+   degree; any degree produces byte-identical output. With [scan], the
+   FOR-EXPAND fed by UNIT takes its items from the byte scan. *)
+let op_sink ?tally ?scan ~batch ~parallel ctx (op : Plan.op) (down : sink) :
+    sink =
   match op with
+  | Plan.For_expand { input = Plan.Unit; _ } when scan <> None ->
+    scan_sink ~batch (Option.get scan) down
   | Plan.Unit ->
     {
       push = (fun _ -> ());
@@ -454,6 +607,7 @@ let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
     let presize =
       if batch > 1 then Optimizer.estimated_groups ~signature else None
     in
+    let detach = Xq_engine.Context.detached ctx in
     if shape.Plan.aggs <> [] then begin
       (* eager aggregation: fold tuples into per-group accumulators at
          feed time instead of materializing member lists *)
@@ -518,6 +672,7 @@ let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
         Xq_engine.Group.builder ?tally ?presize ~spill:agg_codec ~cost:row_cost
           ~reduce:merge_rows ~parallel
           ~parallel_keys:(parallel > 1) (* keys_of is a pure field read *)
+          ~detach
           ~config:(Xq_engine.Context.config ctx) ~mode
           ~keys_of:(fun r -> r.ar_keys)
           ()
@@ -545,13 +700,12 @@ let op_sink ?tally ~batch ~parallel ctx (op : Plan.op) (down : sink) : sink =
     end
     else begin
       (* streamed scans feed detached subtrees; see [tuple_cost] *)
-      let cost =
-        if Governor.stream_detach () then Some tuple_cost else None
-      in
+      let cost = if detach then Some tuple_cost else None in
       let bld =
         Xq_engine.Group.builder ?tally ?presize ~spill:tuple_codec ?cost
           ~parallel
           ~parallel_keys:(parallel > 1 && shape_parallel_keys ctx shape)
+          ~detach
           ~config:(Xq_engine.Context.config ctx) ~mode
           ~keys_of:(shape_keys_of ctx shape)
           ()
@@ -695,7 +849,7 @@ let metered m (s : sink) : sink =
    feeding the next and the last feeding [final]. With [meter], every
    sink ([final] included) is wrapped in a fresh meter, returned in
    chain order; without, the chain is the bare sinks. *)
-let build_chain ~meter ~batch ~parallel ctx ops final =
+let build_chain ?scan ~meter ~batch ~parallel ctx ops final =
   let with_meter make =
     if meter then begin
       let m = { rows = 0; vectors = 0; tally = ref 0; incl = zero_figures () } in
@@ -706,7 +860,8 @@ let build_chain ~meter ~batch ~parallel ctx ops final =
   List.fold_right
     (fun op (down, meters) ->
       let s, m =
-        with_meter (fun tally -> op_sink ?tally ~batch ~parallel ctx op down)
+        with_meter (fun tally ->
+            op_sink ?tally ?scan ~batch ~parallel ctx op down)
       in
       (s, m @ meters))
     ops
@@ -778,12 +933,24 @@ let return_sink ctx (plan : Plan.plan) =
   in
   (final, fun () -> Xseq.concat (List.rev !rev_out))
 
-let run ?stats ctx (plan : Plan.plan) =
+let no_streamed_binding () =
+  invalid_arg "Exec: plan does not start with the streamed binding"
+
+(* A scan's subtrees are detached: the context says so once, and every
+   nested FLWOR chain and pool task of the run inherits it. *)
+let run ?stats ?scan ctx (plan : Plan.plan) =
   let { Config.batch; parallel; _ } = Xq_engine.Context.config ctx in
   let ops = linearize plan.Plan.pipeline in
+  let ctx =
+    match (scan, ops) with
+    | None, _ -> ctx
+    | Some s, Plan.Unit :: Plan.For_expand { var; _ } :: _ when var = s.var ->
+      Xq_engine.Context.with_detached ctx true
+    | Some _, _ -> no_streamed_binding ()
+  in
   let final, result = return_sink ctx plan in
   let chain, meters =
-    build_chain ~meter:(stats <> None) ~batch ~parallel ctx ops final
+    build_chain ?scan ~meter:(stats <> None) ~batch ~parallel ctx ops final
   in
   chain.close ();
   let result = result () in
@@ -845,12 +1012,17 @@ let query_context ?config ?optimize ?strategy ?parallel ?(documents = [])
     ctx q.Ast.prolog.Ast.global_vars
 
 let eval_query ?(check = true) ?config ?optimize ?strategy ?parallel
-    ?documents ?collections ?default_collection ~context_node (q : Ast.query) =
+    ?documents ?collections ?default_collection ?scan ~context_node
+    (q : Ast.query) =
   if check then Static.check_query q;
-  Xq_engine.Eval.eval
-    (query_context ?config ?optimize ?strategy ?parallel ?documents
-       ?collections ?default_collection ~context_node q)
-    q.Ast.body
+  let ctx =
+    query_context ?config ?optimize ?strategy ?parallel ?documents
+      ?collections ?default_collection ~context_node q
+  in
+  match (q.Ast.body, scan) with
+  | _, None -> Xq_engine.Eval.eval ctx q.Ast.body
+  | Ast.Flwor f, Some _ -> run ?scan ctx (plan_in ?optimize ctx f)
+  | _, Some _ -> no_streamed_binding ()
 
 let run_string ?config ?optimize ?strategy ?parallel ~context_node src =
   eval_query ?config ?optimize ?strategy ?parallel ~context_node
@@ -860,189 +1032,27 @@ type analyzed =
   | Analyzed_plan of Plan.plan * Xseq.t * Stats.t
   | Analyzed_expr of Xseq.t
 
-let analyze_query ?config ?optimize ?strategy ?parallel ~context_node
+let analyze_query ?config ?optimize ?strategy ?parallel ?scan ~context_node
     (q : Ast.query) =
   let ctx =
     query_context ?config ?optimize ?strategy ?parallel ~context_node q
   in
-  let rec go (e : Ast.expr) =
+  let rec go ?scan (e : Ast.expr) =
     match e with
     | Ast.Flwor f ->
       let plan = plan_in ?optimize ctx f in
       let stats = ref [] in
-      let result = run ~stats ctx plan in
+      let result = run ~stats ?scan ctx plan in
       [ Analyzed_plan (plan, result, !stats) ]
-    | Ast.Sequence es -> List.concat_map go es
+    | _ when scan <> None -> no_streamed_binding ()
+    | Ast.Sequence es -> List.concat_map (fun e -> go e) es
     | other -> [ Analyzed_expr (Xq_engine.Eval.eval ctx other) ]
   in
-  go q.Ast.body
+  go ?scan q.Ast.body
 
-(* --- streamed execution -------------------------------------------------- *)
+(* Kept for the perfbench harness; everything else calls [eval_query ~scan]. *)
+let eval_query_stream ?check ?config ?optimize ?strategy ?parallel ~source
+    ~path ~var ~positional q =
+  eval_query ?check ?config ?optimize ?strategy ?parallel
+    ~scan:{ source; path; var; positional } ~context_node:(Node.document ()) q
 
-(* Bounded-memory mode trades collector idle time for footprint: the
-   default pacing (space_overhead 120) lets the major heap balloon to
-   > 2x the live set while parse garbage pours in at wire speed, and the
-   pool high-water never comes back down — the Gc-delta estimate would
-   trip the budget on memory that is mostly reusable. Tighter pacing
-   keeps the heap near the live set for the scan's duration. The pacing
-   is process state, so overlapping scans (concurrent STREAM requests)
-   share one tightening: the first to start saves the setting, the last
-   to finish restores it. *)
-let tight_gc = Mutex.create ()
-let tight_scans = ref 0
-let saved_overhead = ref 0
-
-let with_tight_gc f =
-  Mutex.protect tight_gc (fun () ->
-      if !tight_scans = 0 then begin
-        let g = Gc.get () in
-        saved_overhead := g.Gc.space_overhead;
-        Gc.set { g with Gc.space_overhead = 30 }
-      end;
-      incr tight_scans);
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect tight_gc (fun () ->
-          decr tight_scans;
-          if !tight_scans = 0 then
-            Gc.set { (Gc.get ()) with Gc.space_overhead = !saved_overhead }))
-    f
-
-(* Parse-ahead bound in subtree-estimate bytes, whatever the batch size
-   or watermark: without it an ungoverned scan would hold up to a whole
-   default vector of captured subtrees (several MB) before handing any
-   downstream. *)
-let stream_ahead_bytes = 256 * 1024
-
-(* The streamed scan's vectors: each captured subtree is charged against
-   the governor from emission until its vector is handed to [down], so
-   memory pressure sees parse-ahead data. A vector goes downstream once
-   it holds [batch] subtrees or the next one would take its summed
-   estimate past the cap — a governed scan's cap is the smaller of
-   [stream_ahead_bytes] and a slice of its watermark, since parse-ahead
-   alone would otherwise eat most of a small budget. Operators are
-   byte-identical at any vector boundary. *)
-let scan_vectors ?keep_whitespace ~batch ~path source
-    (down : bytes:int -> Node.t array -> unit) =
-  let cap =
-    min stream_ahead_bytes (max (Governor.spill_watermark () / 8) 65536)
-  in
-  let held = ref 0 in
-  let release () =
-    if !held > 0 then begin
-      Governor.uncharge_bytes !held;
-      held := 0
-    end
-  in
-  let push_one, flush =
-    rebatcher batch (fun vec ->
-        down ~bytes:!held vec;
-        release ())
-  in
-  let emit ~bytes n =
-    if !held > 0 && !held + bytes > cap then flush ();
-    if bytes > 0 then begin
-      Governor.charge_bytes bytes;
-      held := !held + bytes
-    end;
-    push_one n
-  in
-  Fun.protect ~finally:release (fun () ->
-      Xq_xml.Xml_stream.scan ?keep_whitespace ~path ~emit source;
-      flush ())
-
-(* Pipelined scan: document subtrees matched by the projection path flow
-   into the operator chain batch-at-a-time *while parsing proceeds* —
-   the plan's [Unit; For_expand] prefix (the binding the projection
-   analysis proved equivalent to the scan) is replaced by the streamed
-   source, and the rest of the chain (selection, grouping with spill,
-   sorting) runs unchanged. Matched subtrees are charged against the
-   governor from emission until their vector is handed downstream, so
-   memory pressure sees parse-ahead data; the governor's stream mode
-   additionally switches group spilling to the detached by-value codec,
-   which is what lets spilled members actually release heap. *)
-let eval_query_stream ?(check = true) ?config ?optimize ?strategy ?parallel
-    ?keep_whitespace ~source ~path ~var ~positional (q : Ast.query) =
-  if check then Static.check_query q;
-  let f =
-    match q.Ast.body with
-    | Ast.Flwor f -> f
-    | _ -> invalid_arg "Exec.eval_query_stream: body is not a FLWOR"
-  in
-  (* the focus never escapes into the query (the projection verdict
-     rejects free context items), so an empty document stands in *)
-  let ctx =
-    query_context ?config ?optimize ?strategy ?parallel
-      ~context_node:(Node.document ()) q
-  in
-  let { Config.batch; parallel; _ } = Xq_engine.Context.config ctx in
-  let plan = plan_in ?optimize ctx f in
-  let rest =
-    match linearize plan.Plan.pipeline with
-    | Plan.Unit :: Plan.For_expand { var = v; _ } :: rest when v = var -> rest
-    | _ ->
-      invalid_arg
-        "Exec.eval_query_stream: plan does not start with the streamed binding"
-  in
-  let final, result = return_sink ctx plan in
-  (* Stream mode goes on before the chain is built: group operators read
-     it at construction time to pick the detached spill codec and the
-     real per-member cost estimate — built earlier they would spill
-     references into files that pin the very heap the flush was meant to
-     release. *)
-  let was_stream = Governor.stream_detach () in
-  (match Governor.current () with
-   | Some g -> Governor.set_stream_mode g true
-   | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      match Governor.current () with
-      | Some g -> Governor.set_stream_mode g was_stream
-      | None -> ())
-    (fun () ->
-      let chain, _ = build_chain ~meter:false ~batch ~parallel ctx rest final in
-      let idx = ref 0 in
-      let tuple n =
-        incr idx;
-        let t = Smap.add var [ Item.Node n ] Smap.empty in
-        match positional with
-        | Some p -> Smap.add p (Xseq.of_int !idx) t
-        | None -> t
-      in
-      (* Parse garbage — skipped content and already-consumed subtrees —
-         dominates the Gc-delta memory estimate during a streamed scan,
-         and nothing else collects it before the hard budget check (the
-         group's flush callback only engages once enough live group
-         state accumulates). Under pressure, collect it ourselves; the
-         growth guard keeps the collector from thrashing while the
-         estimate stays pressure-dominated. Operators that register
-         their own callback (hash-group inserts) shadow this one for
-         their scope and restore it after. *)
-      let floor_words =
-        let wm = Governor.spill_watermark () in
-        let bytes =
-          if wm = max_int then 32 lsl 20 else max (wm / 8) (1 lsl 18)
-        in
-        bytes / (Sys.word_size / 8)
-      in
-      let last_heap = ref (Gc.quick_stat ()).Gc.heap_words in
-      let relieve () =
-        (* first let the chain shed retained state (group partitions
-           flush to spill files), then collect the parse garbage *)
-        chain.pressure ();
-        let h = (Gc.quick_stat ()).Gc.heap_words in
-        if h - !last_heap >= floor_words then begin
-          Gc.full_major ();
-          last_heap := (Gc.quick_stat ()).Gc.heap_words
-        end
-      in
-      (* ungoverned scans keep the stock throughput-friendly pacing *)
-      let pacing f =
-        if Governor.spill_watermark () < max_int then with_tight_gc f else f ()
-      in
-      pacing (fun () ->
-          Governor.with_pressure_callback relieve (fun () ->
-              scan_vectors ?keep_whitespace ~batch ~path source
-                (fun ~bytes:_ nodes -> chain.push (Array.map tuple nodes));
-              chain.close ())));
-  result ()

@@ -1,9 +1,13 @@
 (** Interpreter for {!Plan} operator trees. Expression evaluation is
     delegated to [Xq_engine.Eval]; tuple-stream mechanics (expansion,
     selection, sorting, grouping, numbering) run here over the explicit
-    operators, so a plan is exactly what executes. One chain builder
-    serves {!run}, {!analyze_query} and {!eval_query_stream}; EXPLAIN
-    ANALYZE counts the same chain a normal run executes. *)
+    operators, so a plan is exactly what executes. {!run} is the one way
+    a plan executes, for resident and streamed input alike: a streamed
+    run hands it a {!scan}, which becomes the source of the plan's
+    leading [for] instead of a path over a resident tree. {!eval_query}
+    and {!analyze_query} build the same chain over the same input, so
+    EXPLAIN ANALYZE counts what a normal run executes, streamed or
+    not. *)
 
 open Xq_xdm
 
@@ -54,6 +58,16 @@ module Stats : sig
   type t = entry list
 end
 
+(** A streamed document: the byte [source], the projection [path] whose
+    matches it yields, and the streamed binding's [var] and [positional]
+    name, as the projection analysis derives them. *)
+type scan = {
+  source : Xq_xml.Xml_stream.source;
+  path : Xq_xml.Xml_stream.path;
+  var : string;
+  positional : string option;
+}
+
 (** Execute a plan in a dynamic context (as built by the engine) as a
     pipelined chain of sinks, at the context's batch size and degree
     ({!Xq_engine.Context.config}); output is byte-identical at any
@@ -61,8 +75,18 @@ end
     the return clause's are wrapped in counters and [stats] is set to
     their figures when the run finishes (time, key walks, interns and
     spill figures are self deltas: the operator's own minus those of the
-    operators downstream). Without it the chain carries no counters. *)
-val run : ?stats:Stats.t ref -> Xq_engine.Context.t -> Plan.plan -> Xseq.t
+    operators downstream). Without it the chain carries no counters.
+
+    With [scan], the plan's leading [FOR-EXPAND $var] takes its items
+    from the byte scan ({!scan_vectors}) while parsing proceeds, under
+    {!with_tight_gc} when bounded, and the context is marked
+    {!Xq_engine.Context.detached}, so grouping anywhere in the run
+    spills members by value and memory stays bounded by the watermark.
+    Raises [Invalid_argument] unless the plan starts with [UNIT] and a
+    [for] over [var]. *)
+val run :
+  ?stats:Stats.t ref -> ?scan:scan -> Xq_engine.Context.t -> Plan.plan ->
+  Xseq.t
 
 (** {1 Queries}
 
@@ -100,7 +124,13 @@ val query_context :
   Xq_engine.Context.t
 
 (** Check (unless [check] is [false]), build the {!query_context} and
-    evaluate the body against the context node. *)
+    evaluate the body against the context node. With [scan] the body
+    must be a streamable FLWOR: it runs through {!run} with the scan as
+    its leading binding's source, and output is byte-identical to the
+    run over the materialized document for every query the projection
+    analysis accepts (the focus never escapes into such a query, so
+    [context_node] is only a placeholder). Raises whatever the streamed
+    parse raises ([Xml_parse.Parse_error], [XQENG0005], [XQENG0008]). *)
 val eval_query :
   ?check:bool ->
   ?config:Xq_governor.Config.t ->
@@ -110,6 +140,7 @@ val eval_query :
   ?documents:(string * Node.t) list ->
   ?collections:(string * Node.t list) list ->
   ?default_collection:Node.t list ->
+  ?scan:scan ->
   context_node:Node.t ->
   Xq_lang.Ast.query ->
   Xseq.t
@@ -137,37 +168,25 @@ type analyzed =
     configuration of {!query_context}. FLWORs nested inside it run through
     the context's runner as usual, and their cost counts toward the
     operator that evaluated them. Body order; static checking is the
-    caller's. *)
+    caller's. [scan] streams the input exactly as in {!eval_query}. *)
 val analyze_query :
   ?config:Xq_governor.Config.t ->
   ?optimize:bool ->
   ?strategy:Optimizer.group_strategy ->
   ?parallel:int ->
+  ?scan:scan ->
   context_node:Node.t ->
   Xq_lang.Ast.query ->
   analyzed list
 
-(** Execute a streamable query over a streamed document. The caller
-    supplies the projection [path], the streamed binding's [var] and
-    [positional] name (as derived by the projection analysis); the
-    plan's leading [for] expansion is replaced by a pipelined scan that
-    feeds matched subtrees into the remaining operator chain
-    batch-at-a-time while parsing proceeds. Matched subtrees are
-    charged against the installed governor until consumed downstream,
-    and the governor's stream mode is enabled for the duration so
-    grouping spills detach members by value (memory stays bounded by
-    the watermark). Output is byte-identical to {!eval_query} over the
-    materialized document for every query the projection analysis
-    accepts. FLWORs nested in the query run through the same runner as
-    in {!eval_query}. Raises whatever the streamed parse raises
-    ([Xml_parse.Parse_error], [XQENG0005], [XQENG0008]). *)
+(** [eval_query ~scan:{source; path; var; positional}] with a
+    placeholder context node: an alias kept for the perfbench harness. *)
 val eval_query_stream :
   ?check:bool ->
   ?config:Xq_governor.Config.t ->
   ?optimize:bool ->
   ?strategy:Optimizer.group_strategy ->
   ?parallel:int ->
-  ?keep_whitespace:bool ->
   source:Xq_xml.Xml_stream.source ->
   path:Xq_xml.Xml_stream.path ->
   var:string ->
@@ -187,7 +206,7 @@ val with_tight_gc : (unit -> 'a) -> 'a
     watermark, an ungoverned one at this. *)
 val stream_ahead_bytes : int
 
-(** The streamed scan {!eval_query_stream} feeds its chain with:
+(** The streamed scan a {!run} with [scan] feeds its chain with:
     [scan_vectors ~batch ~path source down] scans [source] and hands
     the subtrees matched by [path] to [down] in document order, in
     vectors of at most [batch] subtrees whose summed heap-cost
@@ -196,7 +215,6 @@ val stream_ahead_bytes : int
     installed governor from its emission until [down] has consumed its
     vector. *)
 val scan_vectors :
-  ?keep_whitespace:bool ->
   batch:int ->
   path:Xq_xml.Xml_stream.path ->
   Xq_xml.Xml_stream.source ->

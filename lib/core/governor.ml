@@ -69,10 +69,6 @@ type t = {
   spilled_bytes : int Atomic.t;
   spill_files : int Atomic.t;
   repartitions : int Atomic.t;
-  stream_mode : bool Atomic.t;
-      (* set by the pipeline when this query executes over a streamed
-         document: spilled tuples then encode detached subtrees by value
-         (see Binio) so spilling actually releases their memory *)
 }
 
 (* How many ticks between expensive checks (clock, fault draw). *)
@@ -135,7 +131,6 @@ let create ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes
     spilled_bytes = Atomic.make 0;
     spill_files = Atomic.make 0;
     repartitions = Atomic.make 0;
-    stream_mode = Atomic.make false;
   }
 
 (* Reset the Gc-delta baseline to the current heap: the CLI calls this
@@ -618,22 +613,6 @@ let read_trip msg =
    | Some g -> Atomic.incr g.trips.(kind_index ReadIo)
    | None -> ());
   Xerror.fail Xerror.XQENG0008 msg
-
-(* --- streamed-execution mode ---------------------------------------------- *)
-
-let set_stream_mode g b = Atomic.set g.stream_mode b
-
-let stream_mode_on g = Atomic.get g.stream_mode
-
-(* Is the calling domain executing a streamed query? Consulted by the
-   grouping spill codec to decide whether detached subtrees encode by
-   value (releasing their memory) instead of by registry reference. The
-   flag rides the governor so [Par]'s scoped re-installation carries it
-   to every domain of the query's fork-join tree. *)
-let stream_detach () =
-  match current_gov () with
-  | None -> false
-  | Some g -> Atomic.get g.stream_mode
 
 (* --- stats ---------------------------------------------------------------- *)
 

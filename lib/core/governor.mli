@@ -228,24 +228,6 @@ val input_trip : string -> 'a
     {!spill_trip}, for real read errors and injected faults alike. *)
 val read_trip : string -> 'a
 
-(** {1 Streamed-execution mode}
-
-    The pipeline throws this switch on a query's governor when the
-    query executes over a streamed document. While set, the grouping
-    spill codec encodes {e detached} subtrees (nodes whose tree root is
-    not a document — exactly what the streaming reader emits) by value
-    rather than by registry reference, so spilling group members
-    actually releases their memory instead of pinning the trees. The
-    flag rides the governor, so [Par]'s scoped re-installation extends
-    it to every domain of the query's fork-join tree. *)
-
-val set_stream_mode : t -> bool -> unit
-
-val stream_mode_on : t -> bool
-
-(** [true] when the calling domain's governor is in streamed mode. *)
-val stream_detach : unit -> bool
-
 (** {1 Fault injection} *)
 
 (** [set_faults ~seed ~rate] arms the deterministic fault streams, as

@@ -18,6 +18,7 @@ type t = {
   default_coll : Node.t list option;
   flwor_runner : t -> Ast.flwor -> Xseq.t;
   config : Xq_governor.Config.t;
+  detached : bool;
 }
 
 (* A context built without [with_flwor_runner] has no FLWOR engine: the
@@ -38,6 +39,7 @@ let empty =
     default_coll = None;
     flwor_runner = no_runner;
     config = Xq_governor.Config.default;
+    detached = false;
   }
 
 let of_prolog (p : Ast.prolog) =
@@ -112,3 +114,6 @@ let run_flwor ctx f = ctx.flwor_runner ctx f
 
 let with_config ctx config = { ctx with config }
 let config ctx = ctx.config
+
+let with_detached ctx detached = { ctx with detached }
+let detached ctx = ctx.detached

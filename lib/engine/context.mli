@@ -82,3 +82,10 @@ val run_flwor : t -> Ast.flwor -> Xseq.t
 
 val with_config : t -> Xq_governor.Config.t -> t
 val config : t -> Xq_governor.Config.t
+
+(** Does the input arrive as detached subtrees (a streamed scan's)?
+    Set once per streamed run by [Exec.run] and inherited by every
+    context derived from it; grouping then spills members by value. *)
+
+val with_detached : t -> bool -> t
+val detached : t -> bool

@@ -158,15 +158,15 @@ type 'a part = {
          stay within one watermark of serialized state. *)
 }
 
-let new_part ~codec ~reduce ~sort_mode ~threshold =
+let new_part ~detach ~codec ~reduce ~sort_mode ~threshold =
   {
     ptable = Hashtbl.create 64;
     live_charge = 0;
     pfile = None;
     runs = [];
     (* streamed queries spill detached subtrees by value so the flush
-       actually releases their memory; see Binio and Governor *)
-    reg = Binio.registry ~detach:(Governor.stream_detach ()) ();
+       actually releases their memory; see Binio *)
+    reg = Binio.registry ~detach ();
     pcodec = codec;
     preduce = reduce;
     sort_mode;
@@ -578,7 +578,7 @@ let hash_fn_of = function
 let presize_slots ~p est = max 64 (min ((est / p) + 1) 65536)
 
 let builder ?hash ?tally ?spill ?presize ?cost ?reduce ?(parallel = 1)
-    ?(parallel_keys = false) ?config ~mode ~keys_of () =
+    ?(parallel_keys = false) ?(detach = false) ?config ~mode ~keys_of () =
   let parallel = max 1 parallel in
   let config =
     match config with Some c -> c | None -> Xq_governor.Config.resolve ()
@@ -608,7 +608,7 @@ let builder ?hash ?tally ?spill ?presize ?cost ?reduce ?(parallel = 1)
             e_p = p;
             e_parts =
               Array.init p (fun _ ->
-                  new_part ~codec ~reduce ~sort_mode ~threshold);
+                  new_part ~detach ~codec ~reduce ~sort_mode ~threshold);
             e_hash_fn = hash_fn;
             e_sort_mode = sort_mode;
             e_sorted_output = sorted_output;

@@ -83,6 +83,9 @@ val hash_keys : Xseq.t list -> int
     estimate: members that own large detached structures (streamed scan
     tuples) must report their real size or partitions never look big
     enough to flush and the heap outruns the budget unrecorded.
+    [detach] (default [false]; a streamed run's) makes spill frames
+    encode detached subtrees by value ({!Binio.registry}), so flushing
+    actually releases them.
 
     Feeding is where key canonicalization happens; once the running
     input size reaches an internal floor (and [config] is batched with
@@ -117,6 +120,7 @@ val builder :
   ?reduce:('a -> 'a -> 'a) ->
   ?parallel:int ->
   ?parallel_keys:bool ->
+  ?detach:bool ->
   ?config:Xq_governor.Config.t ->
   mode:
     [ `Hash

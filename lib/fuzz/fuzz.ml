@@ -78,9 +78,9 @@ let oracle_outcome context_node query =
 let spill_governor () = Xq_governor.Governor.create ~spill_watermark_bytes:4096 ~max_mem_mb:512 ()
 
 let engine_outcome ?(inject_bug = false) ?doc config context_node query =
-  (* materialized runs go through the shared pipeline — the same
-     dispatch the CLI, REPL and query server use — with the static
-     check hoisted *)
+  (* streamed and materialized runs alike go through the shared
+     pipeline — the same entry the CLI, REPL and query server use — with
+     the static check hoisted *)
   let compiled = Xq_pipeline.Pipeline.of_query query in
   let strategy = config.strategy and parallel = config.parallel in
   (* the nopush column forces the pushdown off; the other columns leave
@@ -89,23 +89,22 @@ let engine_outcome ?(inject_bug = false) ?doc config context_node query =
   let run () =
     Xq_lang.Static.check_query query;
     let engine = Xq_governor.Config.resolve ?agg_pushdown ~strategy ~parallel () in
-    let materialized () =
-      Xq_pipeline.Pipeline.eval ~config:engine ~doc:context_node compiled
+    (* the streamed column runs the projection verdict exactly as the
+       CLI would: streamable plans pull the document through the
+       streaming scan, the rest degrade to the materialized executor. A
+       wrong Streamable verdict therefore shows up as an ordinary
+       divergence and shrinks like one. *)
+    let scan =
+      match doc with
+      | Some src when config.stream -> begin
+        match Xq_rewrite.Projection.analyze query with
+        | Xq_rewrite.Projection.Streamable { path; var; positional } ->
+          Some { Xq_algebra.Exec.source = `String src; path; var; positional }
+        | Xq_rewrite.Projection.Materialize _ -> None
+      end
+      | _ -> None
     in
-    match doc with
-    | Some src when config.stream -> begin
-      (* the streamed column runs the projection verdict exactly as the
-         CLI would: streamable plans pull the document through the
-         streaming scan, the rest degrade to the materialized executor.
-         A wrong Streamable verdict therefore shows up as an ordinary
-         divergence and shrinks like one. *)
-      match Xq_rewrite.Projection.analyze query with
-      | Xq_rewrite.Projection.Streamable { path; var; positional } ->
-        Xq_algebra.Exec.eval_query_stream ~check:false ~config:engine
-          ~source:(`String src) ~path ~var ~positional query
-      | Xq_rewrite.Projection.Materialize _ -> materialized ()
-    end
-    | _ -> materialized ()
+    Xq_pipeline.Pipeline.eval ?scan ~config:engine ~doc:context_node compiled
   in
   let outcome =
     capture (fun () ->

@@ -41,19 +41,22 @@ let resolve ?base k =
     ?stream:k.k_stream ()
 
 type compiled = {
-  c_source : string;
   c_query : Xq_lang.Ast.query;
+  c_rewrites : int;  (* implicit-grouping rewrites [compile] applied *)
 }
 
 let compile ?(rewrite = false) source =
   let q = Xq_lang.Parser.parse_query source in
   Xq_lang.Static.check_query q;
-  let q = if rewrite then Xq_rewrite.Rewrite.rewrite_query q else q in
-  { c_source = source; c_query = q }
+  if rewrite then
+    {
+      c_query = Xq_rewrite.Rewrite.rewrite_query q;
+      c_rewrites = Xq_rewrite.Rewrite.count_rewrites q.Xq_lang.Ast.body;
+    }
+  else { c_query = q; c_rewrites = 0 }
 
-let of_query ?(source = "") q = { c_source = source; c_query = q }
+let of_query q = { c_query = q; c_rewrites = 0 }
 let query c = c.c_query
-let source c = c.c_source
 
 (* Length-prefixed fields make the key injective: no choice of query
    text can collide with the rewrite flag. *)
@@ -61,8 +64,8 @@ let cache_key ~(config : Config.t) source =
   let field s = Printf.sprintf "%d:%s" (String.length s) s in
   field (if config.rewrite then "rw" else "") ^ field source
 
-let eval ?config ?strategy ?parallel ~doc c =
-  Xq_algebra.Exec.eval_query ~check:false ?config ?strategy ?parallel
+let eval ?config ?strategy ?parallel ?scan ~doc c =
+  Xq_algebra.Exec.eval_query ~check:false ?config ?strategy ?parallel ?scan
     ~context_node:doc c.c_query
 
 let render ?indent seq = Xq_xml.Serialize.sequence ?indent seq
@@ -111,28 +114,17 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config
           compiled_memo := Some c;
           c
       in
-      (* A streamed source materializes through the same parser the
-         front ends always used, so the degraded path is byte-identical
-         to never having asked for streaming. *)
-      let materialize_doc () =
-        match stream_source with
-        | Some (`File p) -> Xq_xml.Xml_parse.parse_file p
-        | Some (`String s) -> Xq_xml.Xml_parse.parse s
-        | None -> ( match load_doc with Some f -> f () | None -> empty_doc ())
-      in
       (* Streamed dispatch: a supplied source streams when the
          projection verdict allows and nothing disabled it. The verdict
          needs the checked query, so compilation precedes the document
          here (both are governed either way). *)
-      let streamed =
+      let scan =
         match stream_source with
-        | Some src
-          when (not (explain_analyze || config.no_stream))
-               && config.stream <> Some false -> begin
-          let c = get_compiled () in
-          match Xq_rewrite.Projection.analyze c.c_query with
+        | Some source when (not config.no_stream) && config.stream <> Some false
+          -> begin
+          match Xq_rewrite.Projection.analyze (get_compiled ()).c_query with
           | Xq_rewrite.Projection.Streamable { path; var; positional } ->
-            Some (src, c, path, var, positional)
+            Some { Xq_algebra.Exec.source; path; var; positional }
           | Xq_rewrite.Projection.Materialize reason ->
             (* one quiet line, only when streaming was asked for by
                name — the silent default must not get noisy *)
@@ -145,83 +137,66 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config
         end
         | _ -> None
       in
-      match streamed with
-      | Some (src, compiled, path, var, positional) ->
-        (* same contract as the materialized path's post-parse
-           rebaseline: --max-mem budgets the query's own work, not the
-           startup heap (streamed input is charged as parse-ahead) *)
-        (match gov with Some g -> Governor.rebaseline g | None -> ());
-        let t0 = Clock.now_ns () in
-        let result =
-          Xq_algebra.Exec.eval_query_stream ~check:false ~config ~source:src
-            ~path ~var ~positional compiled.c_query
-        in
-        let elapsed = float_of_int (Clock.now_ns () - t0) /. 1e6 in
-        let rendered = render ~indent result in
-        {
-          r_output = rendered;
-          r_items = List.length result;
-          r_elapsed_ms = elapsed;
-          r_stats = Option.map Governor.stats gov;
-        }
-      | None ->
-        (* the document parses inside the governed region so the input
-           limits (XQ_MAX_INPUT / XQ_MAX_DEPTH) apply to it *)
-        let doc = materialize_doc () in
-        (* budget the query's own materializations, not the document *)
-        (match gov with Some g -> Governor.rebaseline g | None -> ());
-        let compiled = get_compiled () in
+      (* The document parses inside the governed region so the input
+         limits (XQ_MAX_INPUT / XQ_MAX_DEPTH) apply to it. An unstreamed
+         source materializes through the same parser the front ends
+         always used, so the degraded path is byte-identical to never
+         having asked for streaming; a scanned query never reads its
+         focus, so an empty document stands in. *)
+      let doc =
+        match (scan, stream_source) with
+        | Some _, _ -> empty_doc ()
+        | None, Some (`File p) -> Xq_xml.Xml_parse.parse_file p
+        | None, Some (`String s) -> Xq_xml.Xml_parse.parse s
+        | None, None -> (
+          match load_doc with Some f -> f () | None -> empty_doc ())
+      in
+      (* budget the query's own work, not the document (streamed input
+         is charged as parse-ahead instead) *)
+      (match gov with Some g -> Governor.rebaseline g | None -> ());
+      let compiled = get_compiled () in
+      let t0 = Clock.now_ns () in
+      let result =
         if explain_analyze then
-          let output =
-            Xq_rewrite.Explain.analyze_query ~config ~context_node:doc
-              compiled.c_query
-          in
-          (* with a streamable source in play, EXPLAIN also reports the
-             projection verdict — the reason a query materializes is
-             otherwise invisible *)
+          `Analyzed
+            (Xq_rewrite.Explain.analyze_query ?scan ~config ~context_node:doc
+               compiled.c_query)
+        else `Items (eval ?scan ~config ~doc compiled)
+      in
+      let elapsed = float_of_int (Clock.now_ns () - t0) /. 1e6 in
+      let output, items =
+        match result with
+        | `Items items ->
+          (* serialize fully before anything is written, so a trip
+             mid-query never leaves partial output anywhere *)
+          (render ~indent items, List.length items)
+        | `Analyzed text ->
           (* when --rewrite recognized the implicit-grouping idiom at
              compile time, say so — the analyzed plan only shows the
-             resulting group by, not where it came from *)
-          let output =
-            if not config.rewrite then output
+             resulting group by, not where it came from; with a
+             streamable source in play, also report the projection
+             verdict — the reason a query materializes is otherwise
+             invisible *)
+          let rewrites =
+            if compiled.c_rewrites = 0 then ""
             else
-              let n =
-                match
-                  Xq_lang.Parser.parse_query compiled.c_source
-                with
-                | q -> Xq_rewrite.Rewrite.count_rewrites q.Xq_lang.Ast.body
-                | exception _ -> 0
-              in
-              if n > 0 then
-                Printf.sprintf "rewrite: implicit-grouping=%d\n" n ^ output
-              else output
+              Printf.sprintf "rewrite: implicit-grouping=%d\n"
+                compiled.c_rewrites
           in
-          let output =
+          let verdict =
             match stream_source with
-            | None -> output
+            | None -> ""
             | Some _ ->
-              output ^ "stream: "
+              "stream: "
               ^ Xq_rewrite.Projection.to_string
                   (Xq_rewrite.Projection.analyze compiled.c_query)
               ^ "\n"
           in
-          {
-            r_output = output;
-            r_items = 0;
-            r_elapsed_ms = 0.;
-            r_stats = Option.map Governor.stats gov;
-          }
-        else begin
-          let t0 = Clock.now_ns () in
-          let result = eval ~config ~doc compiled in
-          let elapsed = float_of_int (Clock.now_ns () - t0) /. 1e6 in
-          (* serialize fully before anything is written, so a trip
-             mid-query never leaves partial output anywhere *)
-          let rendered = render ~indent result in
-          {
-            r_output = rendered;
-            r_items = List.length result;
-            r_elapsed_ms = elapsed;
-            r_stats = Option.map Governor.stats gov;
-          }
-        end)
+          (rewrites ^ text ^ verdict, 0)
+      in
+      {
+        r_output = output;
+        r_items = items;
+        r_elapsed_ms = elapsed;
+        r_stats = Option.map Governor.stats gov;
+      })

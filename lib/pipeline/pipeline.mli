@@ -56,14 +56,15 @@ val resolve : ?base:Xq_governor.Config.t -> knobs -> Xq_governor.Config.t
 type compiled
 
 (** Parse + static check + (when [rewrite]) the implicit-group-by
-    rewrite. Raises [Xerror.Error] with a static code on bad input. *)
+    rewrite, recording how many FLWORs it rewrote (EXPLAIN ANALYZE's
+    [rewrite: implicit-grouping=N] line, so a cached compile reports
+    it too). Raises [Xerror.Error] with a static code on bad input. *)
 val compile : ?rewrite:bool -> string -> compiled
 
 (** Wrap an already-checked query (the fuzzer's generated ASTs). *)
-val of_query : ?source:string -> Xq_lang.Ast.query -> compiled
+val of_query : Xq_lang.Ast.query -> compiled
 
 val query : compiled -> Xq_lang.Ast.query
-val source : compiled -> string
 
 (** The plan-cache key for [source] under [config]: what {!compile}
     reads — query text × rewrite flag — so requests differing only in
@@ -74,11 +75,14 @@ val cache_key : config:Xq_governor.Config.t -> string -> string
 (** Execute a compiled query against a context document through
     [Exec.eval_query]: every FLWOR, nested ones included, runs on the
     plan executor's operator chain, under [config] (default: the
-    environment). No governor management here. *)
+    environment). With [scan] the body's leading binding reads the
+    streamed document instead ([doc] is then only a placeholder focus).
+    No governor management here. *)
 val eval :
   ?config:Xq_governor.Config.t ->
   ?strategy:Xq_algebra.Optimizer.group_strategy ->
   ?parallel:int ->
+  ?scan:Xq_algebra.Exec.scan ->
   doc:Node.t ->
   compiled ->
   Xseq.t
@@ -92,7 +96,8 @@ type report = {
   r_items : int;  (** result cardinality (0 in explain mode) *)
   r_elapsed_ms : float;
       (** evaluation wall-clock time (monotonic clock), excluding
-          document load *)
+          document load and serialization; a streamed run's includes
+          its scan *)
   r_stats : Xq_governor.Governor.stats option;
       (** the governor's stats when one was installed *)
 }
@@ -117,13 +122,16 @@ type report = {
     [stream_source] supplies the document as a streamable source
     instead of [load_doc]. When streaming is enabled ([k_stream], the
     [XQ_NO_STREAM] kill switch) and the projection analysis accepts the
-    query, the document is scanned with projection pushdown and
-    matched subtrees flow into the plan pipeline as parsing proceeds —
-    memory stays bounded by the matched working set (and the spill
-    watermark) rather than the document size, with byte-identical
-    output. Otherwise the source materializes through the ordinary
-    parser and everything behaves as if streaming were never asked
-    for; EXPLAIN ANALYZE output gains a [stream:] verdict line. *)
+    query, the source becomes an [Exec.scan]: the document is scanned
+    with projection pushdown and matched subtrees feed the plan's
+    leading [for] as parsing proceeds — memory stays bounded by the
+    matched working set (and the spill watermark) rather than the
+    document size, with byte-identical output. Otherwise the source
+    materializes through the ordinary parser and everything behaves as
+    if streaming were never asked for. Either way one branch follows:
+    rebaseline, then execute ([explain_analyze]: the analyzed run,
+    streamed when the result would be, plus a [stream:] verdict line)
+    and render. *)
 val run :
   ?scope:[ `Process | `Domain ] ->
   ?force_governor:bool ->

@@ -220,28 +220,27 @@ let fmt_stat ~timings (e : Exec.Stats.entry) =
 
 let analyzed ?(timings = true) (plan : Plan.plan) (stats : Exec.Stats.t) =
   let buf = Buffer.create 256 in
-  match List.rev stats with
-  | [] -> Plan.to_string plan
-  | ret :: outer_first ->
-    (* stats run innermost-first with RETURN last; the tree prints RETURN
-       first, then outermost down — i.e. the reversed stats order. *)
-    add buf 0 (Plan.return_line plan ^ fmt_stat ~timings ret);
-    let rec go depth op stats =
-      let annotation, rest =
-        match stats with
-        | s :: rest -> (fmt_stat ~timings s, rest)
-        | [] -> ("", [])
-      in
-      add buf depth (Plan.op_line op ^ annotation);
+  (* one entry per operator, outermost first, and nothing left over: a
+     count mismatch would annotate rows with another operator's figures *)
+  let rec go depth op = function
+    | s :: rest -> (
+      add buf depth (Plan.op_line op ^ fmt_stat ~timings s);
       match Plan.input_of op with
-      | None -> ()
       | Some input -> go (depth + 1) input rest
-    in
+      | None -> assert (rest = []))
+    | [] -> assert false
+  in
+  (* stats run innermost-first with RETURN last; the tree prints RETURN
+     first, then outermost down — i.e. the reversed stats order. *)
+  match List.rev stats with
+  | ret :: outer_first ->
+    add buf 0 (Plan.return_line plan ^ fmt_stat ~timings ret);
     go 1 plan.Plan.pipeline outer_first;
     Buffer.contents buf
+  | [] -> assert false
 
 let analyze_query ?(timings = true) ?config ?optimize ?strategy ?parallel
-    ~context_node (q : Ast.query) =
+    ?scan ~context_node (q : Ast.query) =
   let buf = Buffer.create 256 in
   let total = ref 0 in
   List.iter
@@ -256,7 +255,8 @@ let analyze_query ?(timings = true) ?config ?optimize ?strategy ?parallel
       | Exec.Analyzed_expr result ->
         total := !total + List.length result;
         add buf 0 "(non-FLWOR expression: evaluated directly)")
-    (Exec.analyze_query ?config ?optimize ?strategy ?parallel ~context_node q);
+    (Exec.analyze_query ?config ?optimize ?strategy ?parallel ?scan
+       ~context_node q);
   add buf 0 (Printf.sprintf "result: %d item(s)" !total);
   (* governor trip counts and peak budgets, only when one is installed —
      ungoverned runs (and the golden explain corpus) are unchanged *)

@@ -21,7 +21,9 @@ val query : Ast.query -> string
     operator's wall-clock self time. The counters come from the chain a
     normal run executes ({!Xq_algebra.Exec.run} with statistics). *)
 
-(** Render one executed plan with its statistics. *)
+(** Render one executed plan with its statistics: one entry per
+    operator plus the return clause's, as {!Xq_algebra.Exec.run}
+    produces them (a count mismatch is an assertion failure). *)
 val analyzed :
   ?timings:bool -> Xq_algebra.Plan.plan -> Xq_algebra.Exec.Stats.t -> string
 
@@ -31,13 +33,17 @@ val analyzed :
     optimizer first; the configuration resolves as in
     {!Xq_algebra.Exec.query_context} — [strategy] and [parallel]
     override [config], which defaults to the environment, so the
-    analysis runs under the settings a normal run of the query uses. *)
+    analysis runs under the settings a normal run of the query uses.
+    With [scan] the input streams, exactly as in
+    {!Xq_algebra.Exec.eval_query}: the rows are those of the streamed
+    chain. *)
 val analyze_query :
   ?timings:bool ->
   ?config:Xq_governor.Config.t ->
   ?optimize:bool ->
   ?strategy:Xq_algebra.Optimizer.group_strategy ->
   ?parallel:int ->
+  ?scan:Xq_algebra.Exec.scan ->
   context_node:Xq_xdm.Node.t ->
   Ast.query ->
   string

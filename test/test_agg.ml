@@ -484,6 +484,26 @@ let explain_tests =
         check_bool "implicit-grouping line" true
           (contains_sub report.Pipeline.r_output
              "rewrite: implicit-grouping=1");
+        (* the count is recorded at compile time, so a compiled query
+           reused across runs (the server's plan cache) reports it on
+           every one of them *)
+        let compiled = Pipeline.compile ~rewrite:true source in
+        List.iter
+          (fun run ->
+            let cached =
+              Pipeline.run
+                ~knobs:
+                  { Pipeline.default_knobs with Pipeline.k_rewrite = true }
+                ~explain_analyze:true ~compiled
+                ~load_doc:(fun () -> lineitems_doc ())
+                ()
+            in
+            check_bool
+              (Printf.sprintf "implicit-grouping line, cached run %d" run)
+              true
+              (contains_sub cached.Pipeline.r_output
+                 "rewrite: implicit-grouping=1"))
+          [ 1; 2 ];
         (* without --rewrite the line must not appear *)
         let plain =
           Pipeline.run ~explain_analyze:true ~source

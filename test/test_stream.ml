@@ -176,14 +176,18 @@ let group_q =
     order by $k
     return <r><k>{$k}</k><n>{count($os)}</n><s>{sum($os/amt)}</s></r>|}
 
-let streamed_result ?(strategy = Optimizer.Hash) q doc =
-  let query = Parser.parse_query q in
+(* The scan the projection verdict derives for [query] over [doc]. *)
+let scan_of query doc =
   match Projection.analyze query with
   | Projection.Streamable { path; var; positional } ->
-    Pipeline.render
-      (Xq_algebra.Exec.eval_query_stream ~strategy ~source:(`String doc)
-         ~path ~var ~positional query)
+    { Xq_algebra.Exec.source = `String doc; path; var; positional }
   | Projection.Materialize r -> Alcotest.failf "not streamable: %s" r
+
+let streamed_result ?(strategy = Optimizer.Hash) q doc =
+  let query = Parser.parse_query q in
+  Pipeline.render
+    (Xq_algebra.Exec.eval_query ~strategy ~scan:(scan_of query doc)
+       ~context_node:(Xq_xdm.Node.document ()) query)
 
 let materialized_result ?(strategy = Optimizer.Hash) q doc =
   let query = Parser.parse_query q in
@@ -362,6 +366,147 @@ let exec_fault_sweep () =
     true
     (!tripped + !truncated > 0)
 
+(* --- EXPLAIN ANALYZE over the streamed chain ------------------------------ *)
+
+let analyze ?scan ~context_node q =
+  Xq_rewrite.Explain.analyze_query ~timings:false ~strategy:Optimizer.Hash
+    ?scan ~context_node (Parser.parse_query q)
+
+let explain_streamed_identical () =
+  (* the scan is only the leading FOR-EXPAND's source: the analyzed
+     chain, its rows and its groups are those of the parsed document *)
+  let doc = orders_doc 150 in
+  let materialized = analyze ~context_node:(Xml_parse.parse doc) group_q in
+  let streamed =
+    analyze
+      ~scan:(scan_of (Parser.parse_query group_q) doc)
+      ~context_node:(Xq_xdm.Node.document ()) group_q
+  in
+  check_string "same analyzed chain" materialized streamed;
+  check_bool "FOR-EXPAND counts the scanned subtrees" true
+    (contains streamed
+       "FOR-EXPAND $o <- /child::orders/child::order  [in=1 out=150]");
+  check_bool "UNIT seeds it" true (contains streamed "UNIT  [in=0 out=1]");
+  check_bool "HASH-GROUP groups the scanned rows" true
+    (contains streamed "[in=150 out=7 groups=7 ")
+
+(* every member is kept ([$os[1]] is no aggregate), so the hash build
+   holds the detached subtrees and has real state to spill *)
+let retained_q =
+  {|for $o in /orders/order
+    group by $o/cust into $k nest $o into $os
+    order by $k
+    return <r><k>{$k}</k>{$os[1]/amt}<n>{count($os)}</n></r>|}
+
+let exec_detached_spill_by_value () =
+  (* a streamed group's members are detached subtrees, so its spill
+     frames carry them by value (flushing then releases them) and charge
+     their real size, where the parsed document's members spill as
+     registry references: the same query under the same watermark
+     spills several times the bytes *)
+  let doc = orders_doc 20_000 in
+  let spilled run =
+    let g =
+      Governor.create ~spill_watermark_bytes:(1 lsl 20) ~max_mem_mb:512 ()
+    in
+    let out = Governor.with_governor g run in
+    (out, (Governor.stats g).Governor.s_spilled_bytes)
+  in
+  let m_out, m = spilled (fun () -> materialized_result retained_q doc) in
+  let s_out, s = spilled (fun () -> streamed_result retained_q doc) in
+  check_string "output unchanged" m_out s_out;
+  check_bool
+    (Printf.sprintf "streamed by value (%d B) > 4x by reference (%d B)" s m)
+    true
+    (s > 4 * max m 1)
+
+(* The [spilled=NB] figures of the operator rows (not the governor's
+   summary line), summed. *)
+let operator_spilled text =
+  let key = " spilled=" in
+  let rec index_of line i =
+    if i + String.length key > String.length line then None
+    else if String.sub line i (String.length key) = key then Some i
+    else index_of line (i + 1)
+  in
+  List.fold_left
+    (fun acc line ->
+      match index_of line 0 with
+      | Some i when not (contains line "governor:") ->
+        let start = i + String.length key in
+        let stop = String.index_from line start 'B' in
+        acc + int_of_string (String.sub line start (stop - start))
+      | _ -> acc)
+    0
+    (String.split_on_char '\n' text)
+
+let explain_streamed_spill_figures () =
+  let doc = orders_doc 10_000 in
+  let g =
+    Governor.create ~spill_watermark_bytes:(1 lsl 20) ~max_mem_mb:512 ()
+  in
+  let text =
+    Governor.with_governor g (fun () ->
+        analyze
+          ~scan:(scan_of (Parser.parse_query retained_q) doc)
+          ~context_node:(Xq_xdm.Node.document ()) retained_q)
+  in
+  let spilled = (Governor.stats g).Governor.s_spilled_bytes in
+  check_bool "the streamed run spilled" true (spilled > 0);
+  check_int "operator spilled= figures are the governor's" spilled
+    (operator_spilled text)
+
+(* A nested group-by per streamed order, in a [let] (a pool task at
+   degree > 1: it constructs no nodes) and in the return clause: the
+   nested chains run in contexts derived from the streamed run's, so
+   they see its detached input too. *)
+let nested_q =
+  {|for $o in /orders/order
+    let $sums :=
+      for $l in $o/lineitem
+      group by $l/shipmode into $m nest $l/quantity into $q
+      order by $m
+      return sum($q)
+    return <o n="{count($sums)}">{
+      for $l in $o/lineitem
+      group by $l/tax into $t nest $l into $ls
+      order by $t
+      return <t rate="{$t}" n="{count($ls)}">{$ls[1]/quantity}</t>
+    }</o>|}
+
+let exec_nested_flwor () =
+  let doc =
+    Xq_xml.Serialize.node
+      (Xq_workload.Orders.generate
+         (Xq_workload.Orders.with_lineitems 2000
+            { Xq_workload.Orders.default with seed = 11 }))
+  in
+  ignore (scan_of (Parser.parse_query nested_q) doc);
+  List.iter
+    (fun parallel ->
+      let knobs =
+        {
+          Pipeline.default_knobs with
+          Pipeline.k_strategy = Some Optimizer.Hash;
+          k_parallel = Some parallel;
+          k_spill_at_mb = Some 1;
+        }
+      in
+      let streamed =
+        Pipeline.run ~knobs ~source:nested_q ~stream_source:(`String doc) ()
+      in
+      let materialized =
+        Pipeline.run ~knobs ~source:nested_q
+          ~load_doc:(fun () -> Xml_parse.parse doc)
+          ()
+      in
+      check_string
+        (Printf.sprintf "parallel %d: streamed = materialized" parallel)
+        materialized.Pipeline.r_output streamed.Pipeline.r_output;
+      check_bool "non-trivial result" true
+        (String.length streamed.Pipeline.r_output > 1000))
+    [ 1; 4 ]
+
 (* --- the pipeline front end ------------------------------------------------ *)
 
 let knobs_plan =
@@ -456,6 +601,16 @@ let suites =
           exec_overlapping_bounded_streams;
         test "parse-ahead capped in bytes without a watermark"
           exec_parse_ahead_capped;
+        test "nested group-by under a watermark, parallel 1 and 4"
+          exec_nested_flwor;
+        test "detached members spill by value" exec_detached_spill_by_value;
+      ] );
+    ( "stream-explain",
+      [
+        test "streamed EXPLAIN ANALYZE = materialized"
+          explain_streamed_identical;
+        test "streamed spill figures are the governor's"
+          explain_streamed_spill_figures;
       ] );
     ( "stream-pipeline",
       [

@@ -353,13 +353,13 @@ let plan_optimize_flag =
 
 let profile_cmd =
   let action qf input optimize strategy parallel batch timeout max_groups
-      max_mem spill_at spill_dir no_spill =
+      max_mem spill_at spill_dir no_spill stream =
     with_errors (fun () ->
       let config =
         Xq.Config.resolve
           ~base:(base_config ~spill_dir ~no_spill ~no_agg_pushdown:false)
           ?strategy ?parallel ?batch ?timeout_ms:timeout ?max_groups
-          ?max_mem_mb:max_mem ?spill_at_mb:spill_at ()
+          ?max_mem_mb:max_mem ?spill_at_mb:spill_at ?stream ()
       in
       let governed f =
         match Xq.Governor.of_config config with
@@ -367,17 +367,29 @@ let profile_cmd =
         | Some g -> Xq.Governor.with_governor g (fun () -> f (Some g))
       in
       governed (fun gov ->
-        let doc = load_input input in
+        let query = Xq.parse (read_file qf) in
+        Xq.check query;
+        (* a file input streams as [run] would, and the analyzed chain
+           is then the streamed one *)
+        let scan =
+          match input with
+          | Some path ->
+            Xq.Pipeline.stream_scan ~config (Lazy.from_val query) (`File path)
+          | None -> None
+        in
+        let doc =
+          match scan with
+          | Some _ -> Xq.load_string "<empty/>"
+          | None -> load_input input
+        in
         (match gov with
          | Some g -> Xq.Governor.rebaseline g
          | None -> ());
-        let query = Xq.parse (read_file qf) in
-        Xq.check query;
         match
           match query.Xq.Lang.Ast.body with
           | Xq.Lang.Ast.Flwor _ ->
-            Xq.Algebra.Exec.analyze_query ~config ~optimize ~context_node:doc
-              query
+            Xq.Algebra.Exec.analyze_query ~config ~optimize ?scan
+              ~context_node:doc query
           | _ -> []
         with
         | [ Xq.Algebra.Exec.Analyzed_plan (plan, result, stats) ] ->
@@ -410,12 +422,13 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Compile the query to a plan, execute it and report per-operator \
              row counts, comparator calls and wall-clock self time, counted \
-             on the chain a normal run executes.")
+             on the chain a normal run executes (streamed from $(b,--input) \
+             when the query is streamable).")
     Term.(
       const action $ query_file $ input_file $ plan_optimize_flag
       $ strategy_opt $ parallel_opt $ batch_opt $ timeout_opt
       $ max_groups_opt $ max_mem_opt $ spill_at_opt $ spill_dir_opt
-      $ no_spill_flag)
+      $ no_spill_flag $ stream_flag)
 
 let gen_cmd =
   let workload =

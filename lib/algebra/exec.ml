@@ -312,7 +312,14 @@ type scan = {
    keeps the heap near the live set for the scan's duration. The pacing
    is process state, so overlapping scans (concurrent STREAM requests)
    share one tightening: the first to start saves the setting, the last
-   to finish restores it. *)
+   to finish restores it.
+
+   The byte-level scan allocates almost nothing for what it skips, so
+   it leaves the collector little work of its own; pacing at 20 spends
+   that headroom on a lower peak in the group finish and spill replay
+   that run under the same tightening. *)
+let tight_space_overhead = 20
+
 let tight_gc = Mutex.create ()
 let tight_scans = ref 0
 let saved_overhead = ref 0
@@ -322,7 +329,7 @@ let with_tight_gc f =
       if !tight_scans = 0 then begin
         let g = Gc.get () in
         saved_overhead := g.Gc.space_overhead;
-        Gc.set { g with Gc.space_overhead = 30 }
+        Gc.set { g with Gc.space_overhead = tight_space_overhead }
       end;
       incr tight_scans);
   Fun.protect

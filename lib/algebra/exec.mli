@@ -194,8 +194,12 @@ val eval_query_stream :
   Xq_lang.Ast.query ->
   Xseq.t
 
+(** The collector's [space_overhead] while a bounded (watermarked)
+    streamed scan runs. *)
+val tight_space_overhead : int
+
 (** [with_tight_gc f] runs [f] with the collector's [space_overhead]
-    tightened to 30, as a bounded (watermarked) streamed scan does.
+    tightened to {!tight_space_overhead}, as a bounded streamed scan does.
     Process-wide and counted: overlapping calls, on any domains, share
     one tightening — the first to enter saves the setting and the last
     to leave restores it. *)

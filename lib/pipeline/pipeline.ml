@@ -77,6 +77,21 @@ type report = {
   r_stats : Governor.stats option;
 }
 
+let stream_scan ~(config : Config.t) query source =
+  if config.no_stream || config.stream = Some false then None
+  else
+    match Xq_rewrite.Projection.analyze (Lazy.force query) with
+    | Xq_rewrite.Projection.Streamable { path; var; positional } ->
+      Some { Xq_algebra.Exec.source; path; var; positional }
+    | Xq_rewrite.Projection.Materialize reason ->
+      (* one quiet line, only when streaming was asked for by name —
+         the silent default must not get noisy *)
+      if config.stream = Some true then
+        Printf.eprintf
+          "xq: streaming requested but not possible (%s); materializing\n%!"
+          reason;
+      None
+
 let empty_doc () = Xq_xml.Xml_parse.parse "<empty/>"
 
 let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config
@@ -120,22 +135,9 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config
          here (both are governed either way). *)
       let scan =
         match stream_source with
-        | Some source when (not config.no_stream) && config.stream <> Some false
-          -> begin
-          match Xq_rewrite.Projection.analyze (get_compiled ()).c_query with
-          | Xq_rewrite.Projection.Streamable { path; var; positional } ->
-            Some { Xq_algebra.Exec.source; path; var; positional }
-          | Xq_rewrite.Projection.Materialize reason ->
-            (* one quiet line, only when streaming was asked for by
-               name — the silent default must not get noisy *)
-            if config.stream = Some true then
-              Printf.eprintf
-                "xq: streaming requested but not possible (%s); \
-                 materializing\n%!"
-                reason;
-            None
-        end
-        | _ -> None
+        | Some source ->
+          stream_scan ~config (lazy (get_compiled ()).c_query) source
+        | None -> None
       in
       (* The document parses inside the governed region so the input
          limits (XQ_MAX_INPUT / XQ_MAX_DEPTH) apply to it. An unstreamed

@@ -87,6 +87,18 @@ val eval :
   compiled ->
   Xseq.t
 
+(** The scan that streams [query] over [source], when [config] leaves
+    streaming on ([stream], the [no_stream] kill switch) and the
+    projection analysis accepts the query; else [None], with a one-line
+    notice on stderr when streaming was asked for by name. [query] is
+    forced only when streaming is on. {!run} and the CLI's [profile]
+    decide through this. *)
+val stream_scan :
+  config:Xq_governor.Config.t ->
+  Xq_lang.Ast.query Lazy.t ->
+  Xq_xml.Xml_stream.source ->
+  Xq_algebra.Exec.scan option
+
 (** Serialize a full result sequence (never partial). *)
 val render : ?indent:bool -> Xseq.t -> string
 

@@ -1,15 +1,23 @@
 open Xq_xdm
 
-let escape buf ~attr s =
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' when not attr -> Buffer.add_string buf "&gt;"
-      | '"' when attr -> Buffer.add_string buf "&quot;"
-      | _ -> Buffer.add_char buf c)
-    s
+(* Unescaped runs are copied whole; only the bytes that need an entity
+   are written one at a time. *)
+let rec escape_run buf attr s start i =
+  if i = String.length s then Buffer.add_substring buf s start (i - start)
+  else
+    match String.unsafe_get s i with
+    | '&' -> entity buf attr s start i "&amp;"
+    | '<' -> entity buf attr s start i "&lt;"
+    | '>' when not attr -> entity buf attr s start i "&gt;"
+    | '"' when attr -> entity buf attr s start i "&quot;"
+    | _ -> escape_run buf attr s start (i + 1)
+
+and entity buf attr s start i e =
+  Buffer.add_substring buf s start (i - start);
+  Buffer.add_string buf e;
+  escape_run buf attr s (i + 1) (i + 1)
+
+let escape buf ~attr s = escape_run buf attr s 0 0
 
 let escape_text s =
   let buf = Buffer.create (String.length s) in

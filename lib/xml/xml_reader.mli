@@ -1,0 +1,66 @@
+(** The one XML reader behind {!Xml_parse} and {!Xml_stream}.
+
+    It reads a source through a window: a string in place, a file or a
+    fill function through a compacting 64 KB window with refill. Text
+    runs are scanned in a tight loop up to the next [<] or [&], names
+    are interned straight from the window and only for nodes that are
+    built, and line and column are computed only when an error is
+    raised. An element the projection does not build is validated with
+    no interning, no text buffering and no allocation, raising exactly
+    the errors and positions building it would. *)
+
+exception Parse_error of { line : int; column : int; message : string }
+
+(** Default element-nesting cap (512). *)
+val default_max_depth : int
+
+(** A window over one source. *)
+type t
+
+(** [of_string s] reads [s] in place, the window advancing a chunk per
+    refill. With [~faults:true] (a streamed scan) each refill draws an
+    [XQ_FAULTS] read fault. *)
+val of_string : ?faults:bool -> string -> t
+
+(** [of_fill ~size fill] reads through [fill buf off len], which stores
+    up to [len] bytes at [buf.[off]] and returns how many, 0 at the end.
+    [size] is the source's length, checked against byte caps up front.
+    This is also the test entry that places refill seams anywhere. *)
+val of_fill :
+  ?faults:bool ->
+  ?source_name:string ->
+  size:int ->
+  (Bytes.t -> int -> int -> int) ->
+  t
+
+(** [with_file path f] runs [f] on a reader of the file and closes it.
+    A read error raises [Xerror.Error XQENG0008]; a file that cannot be
+    opened raises [Sys_error]. *)
+val with_file : ?faults:bool -> string -> (t -> 'a) -> 'a
+
+(** Parse a complete document into a [Document] node. *)
+val document :
+  ?keep_whitespace:bool -> ?max_depth:int -> ?max_bytes:int -> t -> Xq_xdm.Node.t
+
+(** Parse a single element (no XML declaration required). *)
+val fragment :
+  ?keep_whitespace:bool -> ?max_depth:int -> ?max_bytes:int -> t -> Xq_xdm.Node.t
+
+(** How a projecting read treats each element. [child state stack off len]
+    is the state of an element spelled [stack.[off .. off+len)] whose
+    parent has [state]; state 0 is dead (nothing below can match) and is
+    never passed to [child]. An element whose state has a bit of
+    [accept] is a match: it is built with its whole subtree and passed
+    to [on_match] when it opens. When the outermost built element
+    closes, [on_capture] gets its span in source bytes. *)
+type hooks = {
+  child : int -> Bytes.t -> int -> int -> int;
+  accept : int;
+  on_match : Xq_xdm.Node.t -> unit;
+  on_capture : int -> unit;
+}
+
+(** Read a complete document, building only the matches [hooks]
+    selects; the document node (state 1) is never built. *)
+val project :
+  ?keep_whitespace:bool -> ?max_depth:int -> ?max_bytes:int -> t -> hooks -> unit

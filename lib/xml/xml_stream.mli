@@ -3,14 +3,19 @@
     A pull-based, chunked scan of a document that builds XDM subtrees
     {e only} for elements matched by a projection path and discards
     everything else at parse time, so memory is bounded by the matched
-    subtrees in flight rather than the document size.
+    subtrees in flight rather than the document size. This module holds
+    only the projection NFA and its capture logic; the reading is
+    {!Xml_reader}'s, the same reader {!Xml_parse} uses.
 
-    Lexical semantics, limits and error behaviour mirror {!Xml_parse}
-    exactly: the same entity/CDATA/whitespace rules, the same depth and
-    byte caps (explicit or inherited from an installed governor), the
-    same positioned {!Xml_parse.Parse_error} on malformed input, and a
-    governor tick per element. A query run over the streamed subtrees
-    produces output byte-identical to the materializing path.
+    An element that is not built is validated without interning (name
+    tests and end tags compare raw bytes), without buffering its text
+    and without allocating. It still gets its governor tick and raises
+    exactly the errors and positions the building path raises:
+    entities, attribute syntax, duplicate attributes ([XQDY0025]),
+    comment/CDATA/PI terminators, the depth limit and byte caps
+    (explicit or inherited from an installed governor). A query run
+    over the streamed subtrees produces output byte-identical to the
+    materializing path.
 
     When [XQ_FAULTS] is active, the read-I/O fault stream injects
     short reads (benign), EIO and torn reads (both [XQENG0008]) and
@@ -68,3 +73,14 @@ val collect :
   path:path ->
   source ->
   Node.t list
+
+(** [scan] over an already opened reader — the entry tests use to place
+    refill seams anywhere ({!Xml_reader.of_fill}). *)
+val scan_reader :
+  ?keep_whitespace:bool ->
+  ?max_depth:int ->
+  ?max_bytes:int ->
+  path:path ->
+  emit:(bytes:int -> Node.t -> unit) ->
+  Xml_reader.t ->
+  unit

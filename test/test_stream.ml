@@ -277,7 +277,8 @@ let exec_tight_gc_counted () =
             space_overhead ()))
   in
   Domain.join a;
-  check_int "still tight after the first scan left" 30 (Domain.join b);
+  check_int "still tight after the first scan left"
+    Xq_algebra.Exec.tight_space_overhead (Domain.join b);
   check_int "restored after the last scan" original (space_overhead ())
 
 let exec_overlapping_bounded_streams () =
@@ -293,7 +294,10 @@ let exec_overlapping_bounded_streams () =
   in
   let a = Domain.spawn (run small) in
   let give_up = Unix.gettimeofday () +. 10.0 in
-  while space_overhead () <> 30 && Unix.gettimeofday () < give_up do
+  while
+    space_overhead () <> Xq_algebra.Exec.tight_space_overhead
+    && Unix.gettimeofday () < give_up
+  do
     Domain.cpu_relax ()
   done;
   let b = Domain.spawn (run large) in
@@ -456,6 +460,53 @@ let explain_streamed_spill_figures () =
   check_int "operator spilled= figures are the governor's" spilled
     (operator_spilled text)
 
+(* [xq profile] decides through [Pipeline.stream_scan], as [run] does:
+   with a file input a streamable query streams, and the operator rows
+   it prints are the [--no-stream] rows, self times aside. *)
+let cli_exe = Filename.concat ".." (Filename.concat "bin" "xq_cli.exe")
+
+let profile_rows args =
+  let ic = Unix.open_process_args_in cli_exe (Array.of_list (cli_exe :: args)) in
+  let out = In_channel.input_all ic in
+  (match Unix.close_process_in ic with
+   | Unix.WEXITED 0 -> ()
+   | _ -> Alcotest.failf "xq %s failed" (String.concat " " args));
+  (* every table row without its last column, the wall-clock self ms *)
+  let rec rows in_table = function
+    | [] -> []
+    | line :: rest when String.length line >= 8 && String.sub line 0 8 = "operator" ->
+      line :: rows true rest
+    | "" :: rest -> "" :: rows false rest
+    | line :: rest when in_table ->
+      String.sub line 0 (String.rindex line ' ') :: rows true rest
+    | line :: rest -> line :: rows false rest
+  in
+  String.concat "\n" (rows false (String.split_on_char '\n' out))
+
+let profile_streams () =
+  let query = Lazy.from_val (Parser.parse_query group_q) in
+  let verdict config = Pipeline.stream_scan ~config query (`File "doc.xml") in
+  check_bool "a streamable query streams" true
+    (verdict Xq_governor.Config.default <> None);
+  check_bool "--no-stream materializes" true
+    (verdict (Xq_governor.Config.resolve ~base:Xq_governor.Config.default ~stream:false ())
+     = None);
+  let tmp ext contents =
+    let f = Filename.temp_file "xq_profile" ext in
+    Out_channel.with_open_bin f (fun oc -> output_string oc contents);
+    f
+  in
+  let doc = tmp ".xml" (orders_doc 300) and q = tmp ".xq" group_q in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove doc; Sys.remove q)
+    (fun () ->
+      let streamed = profile_rows [ "profile"; q; "-i"; doc ] in
+      check_bool "FOR-EXPAND row counts the orders" true
+        (contains streamed "FOR-EXPAND $o                     1        300");
+      check_string "streamed rows = --no-stream rows"
+        (profile_rows [ "profile"; q; "-i"; doc; "--no-stream" ])
+        streamed)
+
 (* A nested group-by per streamed order, in a [let] (a pool task at
    degree > 1: it constructs no nodes) and in the return clause: the
    nested chains run in contexts derived from the streamed run's, so
@@ -611,6 +662,7 @@ let suites =
           explain_streamed_identical;
         test "streamed spill figures are the governor's"
           explain_streamed_spill_figures;
+        test "xq profile streams" profile_streams;
       ] );
     ( "stream-pipeline",
       [

@@ -48,6 +48,15 @@ let parser_tests =
     test "whitespace-only text dropped by default" (fun () ->
         let el = parse_fragment "<a>\n  <b/>\n  <c/>\n</a>" in
         check_int "children" 2 (List.length (Node.children el)));
+    test "an empty CDATA keeps no later whitespace" (fun () ->
+        let src = "<r><a><![CDATA[]]></a> <b/></r>" in
+        check_string "parsed" "<r><a/><b/></r>" (roundtrip src);
+        check_string "streamed" "<r><a/><b/></r>"
+          (String.concat ""
+             (List.map serialize
+                (Xq_xml.Xml_stream.collect
+                   ~path:[ { Xq_xml.Xml_stream.desc = false; test = Xq_xml.Xml_stream.Any } ]
+                   (`String src)))));
     test "whitespace kept on request" (fun () ->
         let el = parse_fragment ~keep_whitespace:true "<a> <b/> </a>" in
         check_int "children" 3 (List.length (Node.children el)));
@@ -537,32 +546,108 @@ let leaf_tests =
         if per_item > 150. then Alcotest.failf "%.1f words per lineitem" per_item);
   ]
 
-(* --- hostile streams ------------------------------------------------------ *)
+(* --- hostile streams ---------------------------------------------------- *)
 
-(* The streaming scan must reject exactly what the materializing parser
-   rejects, with the same reported position — both paths fail closed on
-   a truncated or torn document, never returning partial data. *)
+(* Every front of the one reader must reject exactly what the
+   materializing parser rejects, with the same (line, column, message) —
+   a truncated or torn document fails closed, never returning partial
+   data. The fronts: [parse], [parse_file], the reader under 1- and
+   7-byte fills (refill seams everywhere), and the streamed scan with
+   the root captured (every element built), with a dead path (every
+   element skipped without the NFA) and with a live path that matches
+   nothing (every element name-tested, none built). *)
 
-let stream_root_path =
-  [ { Xq_xml.Xml_stream.desc = false; test = Xq_xml.Xml_stream.Any } ]
+module Reader = Xq_xml.Xml_reader
+module Stream = Xq_xml.Xml_stream
 
-let both_reject name src =
-  let position f =
-    match f () with
-    | _ -> None
-    | exception Xq_xml.Xml_parse.Parse_error { line; column; _ } ->
-      Some (line, column)
+let stream_root_path = [ { Stream.desc = false; test = Stream.Any } ]
+let nothing = Stream.Name (Xname.of_string "nothing")
+let dead_path = [ { Stream.desc = false; test = nothing } ]
+let live_path = [ { Stream.desc = true; test = nothing } ]
+
+(* A reader over [s] whose fill hands out at most [step] bytes. *)
+let fill_reader step s =
+  let pos = ref 0 in
+  Reader.of_fill ~size:(String.length s) (fun buf off len ->
+      let n = min (min len step) (String.length s - !pos) in
+      Bytes.blit_string s !pos buf off n;
+      pos := !pos + n;
+      n)
+
+let with_file src f =
+  let path = Filename.temp_file "xq_xml" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc src;
+      close_out oc;
+      f path)
+
+let fronts ?max_depth () =
+  let scan name path =
+    [
+      ("scan " ^ name, fun src ->
+          ignore (Stream.collect ?max_depth ~path (`String src)));
+      ("scan file " ^ name, fun src ->
+          with_file src (fun f -> ignore (Stream.collect ?max_depth ~path (`File f))));
+      ("scan fill 1 " ^ name, fun src ->
+          Stream.scan_reader ?max_depth ~path ~emit:(fun ~bytes:_ _ -> ())
+            (fill_reader 1 src));
+      ("scan fill 7 " ^ name, fun src ->
+          Stream.scan_reader ?max_depth ~path ~emit:(fun ~bytes:_ _ -> ())
+            (fill_reader 7 src));
+    ]
   in
-  let materializing = position (fun () -> parse src) in
-  let streaming =
-    position (fun () ->
-        Xq_xml.Xml_stream.collect ~path:stream_root_path (`String src))
-  in
-  match materializing, streaming with
-  | Some m, Some s ->
-    Alcotest.(check (pair int int)) (name ^ ": same position") m s
-  | None, _ -> Alcotest.failf "%s: materializing parser accepted it" name
-  | _, None -> Alcotest.failf "%s: streaming scan accepted it" name
+  [
+    ("parse", fun src -> ignore (Xq_xml.Xml_parse.parse ?max_depth src));
+    ("parse_file", fun src ->
+        with_file src (fun f -> ignore (Xq_xml.Xml_parse.parse_file ?max_depth f)));
+    ("parse fill 1", fun src -> ignore (Reader.document ?max_depth (fill_reader 1 src)));
+    ("parse fill 7", fun src -> ignore (Reader.document ?max_depth (fill_reader 7 src)));
+  ]
+  @ scan "/*" stream_root_path @ scan "/nothing" dead_path
+  @ scan "//nothing" live_path
+
+(* How a front rejected [src]: a positioned parse error or a structured
+   engine error, rendered; [None] when it accepted the input. *)
+let rejection f src =
+  match f src with
+  | () -> None
+  | exception Xq_xml.Xml_parse.Parse_error { line; column; message } ->
+    Some (Printf.sprintf "%d:%d %s" line column message)
+  | exception Xerror.Error (code, msg) ->
+    Some (Xerror.code_to_string code ^ " " ^ msg)
+
+(* All fronts reject [src] alike; returns the one rejection. *)
+let all_reject ?max_depth name src =
+  match fronts ?max_depth () with
+  | [] -> assert false
+  | (_, parse) :: rest ->
+    let expected =
+      match rejection parse src with
+      | Some r -> r
+      | None -> Alcotest.failf "%s: the parser accepted it" name
+    in
+    List.iter
+      (fun (front, f) ->
+        match rejection f src with
+        | Some r -> check_string (Printf.sprintf "%s: %s" name front) expected r
+        | None -> Alcotest.failf "%s: %s accepted it" name front)
+      rest;
+    expected
+
+let both_reject name src = ignore (all_reject name src)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let rejects_with name fragment ?max_depth src =
+  let r = all_reject ?max_depth name src in
+  check_bool (Printf.sprintf "%s: %S in %S" name fragment r) true
+    (contains r fragment)
 
 let hostile_stream_tests =
   [
@@ -584,14 +669,107 @@ let hostile_stream_tests =
         both_reject "trailing" "<a/><a/>");
     test "character reference out of range" (fun () ->
         both_reject "charref range" "<a>&#x110000;</a>");
+    test "malformed character references" (fun () ->
+        (* judged after the ';', so the position is the byte past it *)
+        List.iter
+          (fun ref_ ->
+            rejects_with ref_
+              (Printf.sprintf "4:%d bad character reference" (String.length ref_ + 1))
+              ("<a>\n\n\n" ^ ref_ ^ "</a>"))
+          [ "&#1_0;"; "&#+65;"; "&#0x41;"; "&#0;"; "&#x;"; "&#X41;"; "&#xFFFE;" ];
+        rejects_with "in an attribute" "bad character reference" "<a b='&#x1;'/>");
+    test "legal character references decode" (fun () ->
+        check_string "decoded" "\t\u{4e2d}A\u{10000}"
+          (Node.string_value (parse_fragment "<a>&#9;&#x4e2D;&#0065;&#x10000;</a>")));
+    test "errors inside skipped subtrees" (fun () ->
+        rejects_with "duplicate attribute" "XQDY0025"
+          "<a><s><t k='1' k='2'/></s></a>";
+        rejects_with "unknown entity" "unknown entity &nope;"
+          "<a>\n<s>x &nope; y</s></a>";
+        rejects_with "lt in attribute" "'<' in attribute value"
+          "<a><s><t k='x<y'/></s></a>";
+        rejects_with "mismatched end tag" "mismatched end tag </s>, expected </t>"
+          "<a><s><t></s></t></a>";
+        rejects_with "depth limit" "element nesting deeper than 4" ~max_depth:4
+          "<a><s><t><u><v/></u></t></s></a>";
+        rejects_with "unterminated comment" "unterminated comment"
+          "<a><s><!-- x -></s></a>";
+        rejects_with "unterminated PI" "unterminated processing instruction"
+          "<a><s><?p x ></s></a>";
+        rejects_with "unterminated CDATA" "unterminated CDATA section"
+          "<a><s><![CDATA[ x ]></s></a>");
     test "well-formed document still streams" (fun () ->
         let nodes =
-          Xq_xml.Xml_stream.collect ~path:stream_root_path
-            (`String "<a><b>x</b></a>")
+          Stream.collect ~path:stream_root_path (`String "<a><b>x</b></a>")
         in
         match nodes with
         | [ n ] -> check_string "root subtree" "<a><b>x</b></a>" (serialize n)
         | _ -> Alcotest.fail "expected exactly the root match");
+  ]
+
+(* --- refill seams ----------------------------------------------------------- *)
+
+(* Documents that put every token kind across a refill seam somewhere:
+   names, attribute values with entities, text runs, CDATA, comments,
+   PIs, character references, multi-byte UTF-8, line breaks. *)
+let seam_docs () =
+  List.map (fun (name, d) -> (name, serialize d)) (seeded_docs ())
+  @ [
+      ( "hand-written",
+        "<?xml version='1.0'?>\n<!DOCTYPE r [<!ELEMENT r ANY>]>\n<!--top-->\
+         <?pi data?>\n<p:r xmlns:p='u' p:k='v&amp;w' k=\"&#x4e2d;\">\n  \
+         <a>x &lt; y</a><b><![CDATA[<raw> & ]]>tail</b>\n  <c>\u{00e9}t\u{00e9}\
+         <!-- in --><?q r?>&#65;&#x42;</c><d/><e></e>  </p:r>\n<!--end-->" );
+    ]
+
+let seam_tests =
+  [
+    test "skipped elements allocate nothing" (fun () ->
+        (* thousands of elements, none built: only the reader's own
+           setup allocates, dead NFA state or live *)
+        let xml = orders_xml () in
+        List.iter
+          (fun (name, path) ->
+            let w0 = Gc.minor_words () in
+            Stream.scan ~path ~emit:(fun ~bytes:_ _ -> ()) (`String xml);
+            let words = Gc.minor_words () -. w0 in
+            if words > 1024. then Alcotest.failf "%s: %.0f words" name words)
+          [ ("dead path", dead_path); ("live path", live_path) ]);
+    test "1- and 7-byte fills build byte-identical trees" (fun () ->
+        List.iter
+          (fun (name, xml) ->
+            let expected = serialize (parse xml) in
+            List.iter
+              (fun step ->
+                check_string
+                  (Printf.sprintf "%s, fill %d" name step)
+                  expected
+                  (serialize (Reader.document (fill_reader step xml))))
+              [ 1; 7 ];
+            with_file xml (fun f ->
+                check_string (name ^ ", parse_file") expected
+                  (serialize (Xq_xml.Xml_parse.parse_file f))))
+          (seam_docs ()));
+    test "1- and 7-byte fills stream byte-identical matches" (fun () ->
+        let any = { Stream.desc = true; test = Stream.Any } in
+        List.iter
+          (fun (name, xml) ->
+            let collect r =
+              let acc = ref [] in
+              Stream.scan_reader ~path:[ any; any ]
+                ~emit:(fun ~bytes n -> acc := (bytes, serialize n) :: !acc)
+                r;
+              List.rev !acc
+            in
+            let expected = collect (Reader.of_string xml) in
+            List.iter
+              (fun step ->
+                check_bool
+                  (Printf.sprintf "%s, fill %d" name step)
+                  true
+                  (collect (fill_reader step xml) = expected))
+              [ 1; 7 ])
+          (seam_docs ()));
   ]
 
 let suites =
@@ -600,6 +778,7 @@ let suites =
     ("xml.errors", error_tests);
     ("xml.hostile", hostile_tests);
     ("xml.hostile-stream", hostile_stream_tests);
+    ("xml.refill-seams", seam_tests);
     ("xml.serializer", serializer_tests);
     ("xml.builder", builder_tests);
     ("xml.layout", layout_tests);

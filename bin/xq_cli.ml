@@ -214,20 +214,20 @@ let stream_flag =
        subtrees are materialized, so memory is bounded by the matched \
        working set instead of the document size. Streaming is on by \
        default whenever the query is streamable; this flag additionally \
-       prints a notice when it is not (and the run falls back to \
-       materializing). $(b,XQ_NO_STREAM=1) disables streaming globally."
+       prints a notice when it is not (and the run falls back to a \
+       projected load). $(b,XQ_NO_STREAM=1) disables streaming and \
+       projection globally."
     in
     (Some true, Arg.info [ "stream" ] ~doc)
   in
   let off =
-    let doc = "Always materialize the input document before evaluating." in
+    let doc =
+      "Load the whole input document before evaluating: neither stream \
+       it nor project it to the paths the query reads."
+    in
     (Some false, Arg.info [ "no-stream" ] ~doc)
   in
   Arg.(value & vflag None [ on; off ])
-
-let load_input = function
-  | Some path -> Xq.load_file path
-  | None -> Xq.load_string "<empty/>"
 
 (* All evaluation flows through the shared pipeline — the same
    compile-and-run path the REPL, fuzzer and query server use — so the
@@ -252,18 +252,14 @@ let run_common ~source ~input ~rewrite ~indent ~time ~explain_analyze ~strategy
             k_stream = stream;
           }
       in
-      (* a file input goes to the pipeline as a streamable source (it
-         decides, from the projection verdict and the knobs, whether to
-         stream or materialize); stdin-less runs keep the empty doc *)
+      (* a file input goes to the pipeline as a source (it decides,
+         from the query's path set and the knobs, whether to stream it,
+         project it or load it whole); input-less runs keep the empty
+         doc *)
       let report =
-        match input with
-        | Some path ->
-          Xq.Pipeline.run ~config ~knobs ~indent ~explain_analyze ~source
-            ~stream_source:(`File path) ()
-        | None ->
-          Xq.Pipeline.run ~config ~knobs ~indent ~explain_analyze ~source
-            ~load_doc:(fun () -> load_input input)
-            ()
+        Xq.Pipeline.run ~config ~knobs ~indent ~explain_analyze ~source
+          ?stream_source:(Option.map (fun p -> `File p) input)
+          ()
       in
       if explain_analyze then print_string report.Xq.Pipeline.r_output
       else begin
@@ -369,18 +365,17 @@ let profile_cmd =
       governed (fun gov ->
         let query = Xq.parse (read_file qf) in
         Xq.check query;
-        (* a file input streams as [run] would, and the analyzed chain
-           is then the streamed one *)
-        let scan =
+        (* a file input loads as [run] loads it — streamed, projected
+           or whole — and the analyzed chain is then the one [run]
+           executes *)
+        let scan, doc =
           match input with
           | Some path ->
-            Xq.Pipeline.stream_scan ~config (Lazy.from_val query) (`File path)
-          | None -> None
-        in
-        let doc =
-          match scan with
-          | Some _ -> Xq.load_string "<empty/>"
-          | None -> load_input input
+            let load, doc =
+              Xq.Pipeline.load ~config (Lazy.from_val query) (`File path)
+            in
+            (Xq.Pipeline.scan_of load, doc)
+          | None -> (None, Xq.load_string "<empty/>")
         in
         (match gov with
          | Some g -> Xq.Governor.rebaseline g
@@ -422,8 +417,8 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Compile the query to a plan, execute it and report per-operator \
              row counts, comparator calls and wall-clock self time, counted \
-             on the chain a normal run executes (streamed from $(b,--input) \
-             when the query is streamable).")
+             on the chain a normal run executes, over $(b,--input) loaded \
+             as $(b,run) loads it: streamed, projected or whole.")
     Term.(
       const action $ query_file $ input_file $ plan_optimize_flag
       $ strategy_opt $ parallel_opt $ batch_opt $ timeout_opt

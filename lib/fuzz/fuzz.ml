@@ -89,22 +89,23 @@ let engine_outcome ?(inject_bug = false) ?doc config context_node query =
   let run () =
     Xq_lang.Static.check_query query;
     let engine = Xq_governor.Config.resolve ?agg_pushdown ~strategy ~parallel () in
-    (* the streamed column runs the projection verdict exactly as the
-       CLI would: streamable plans pull the document through the
-       streaming scan, the rest degrade to the materialized executor. A
-       wrong Streamable verdict therefore shows up as an ordinary
-       divergence and shrinks like one. *)
-    let scan =
+    (* the streamed column loads the document exactly as the CLI
+       would: streamable plans pull it through the streaming scan, the
+       rest run over the projected tree of their path set (the oracle
+       reads the whole tree). A wrong verdict or a wrong path set
+       therefore shows up as an ordinary divergence and shrinks like
+       one. *)
+    let scan, doc =
       match doc with
-      | Some src when config.stream -> begin
-        match Xq_rewrite.Projection.analyze query with
-        | Xq_rewrite.Projection.Streamable { path; var; positional } ->
-          Some { Xq_algebra.Exec.source = `String src; path; var; positional }
-        | Xq_rewrite.Projection.Materialize _ -> None
-      end
-      | _ -> None
+      | Some src when config.stream ->
+        let load, doc =
+          Xq_pipeline.Pipeline.load ~config:engine (Lazy.from_val query)
+            (`String src)
+        in
+        (Xq_pipeline.Pipeline.scan_of load, doc)
+      | _ -> (None, context_node)
     in
-    Xq_pipeline.Pipeline.eval ?scan ~config:engine ~doc:context_node compiled
+    Xq_pipeline.Pipeline.eval ?scan ~config:engine ~doc compiled
   in
   let outcome =
     capture (fun () ->

@@ -3,8 +3,10 @@
 
     Each case runs through the real engine under a sampled configuration
     matrix — the plan executor at strategy hash/sort/auto, parallel degree 1/2/4, spill watermark armed or off,
-    document materialized or pulled through the streaming scan when the
-    projection verdict allows (fault injection always cleared) — and
+    document materialized, or loaded as the CLI loads a file: pulled
+    through the streaming scan when the projection verdict allows, else
+    projected to the query's path set (fault injection always
+    cleared) — and
     every outcome is compared
     against {!Xq_refimpl.Refimpl}. Outputs are compared per returned
     item, as ordered lists when the query pins its tuple order (a
@@ -21,8 +23,9 @@ type config = {
   parallel : int;  (** domain-pool degree *)
   spill : bool;    (** arm a tiny spill watermark to force external grouping *)
   stream : bool;
-      (** run the projection verdict and, when streamable, pull the
-          document through the streaming scan instead of materializing *)
+      (** load the document through the pipeline's load decision:
+          streamed when the projection verdict allows, else the
+          projected tree of the query's path set *)
   nopush : bool;
       (** force the eager-aggregation pushdown off for this run — the
           rewritten-vs-unrewritten differential column. Only this run's
@@ -56,9 +59,9 @@ val oracle_outcome : Node.t -> Ast.query -> outcome
     engine defect for exercising the shrinker end-to-end. [doc] is the
     raw document text, required for streamed configurations (without it
     they fall back to the materialized executor): a streamed run
-    re-reads the document through the streaming scan, so a wrong
-    [Streamable] projection verdict surfaces as an ordinary divergence
-    and shrinks like one. *)
+    re-reads the document through the streaming scan or a projected
+    load, so a wrong [Streamable] verdict or a wrong path set surfaces
+    as an ordinary divergence and shrinks like one. *)
 val engine_outcome :
   ?inject_bug:bool -> ?doc:string -> config -> Node.t -> Ast.query -> outcome
 

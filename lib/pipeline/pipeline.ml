@@ -77,22 +77,58 @@ type report = {
   r_stats : Governor.stats option;
 }
 
-let stream_scan ~(config : Config.t) query source =
-  if config.no_stream || config.stream = Some false then None
+type load =
+  | Streamed of Xq_algebra.Exec.scan
+  | Projected of Xq_xml.Xml_stream.path_set
+  | Whole_document of string
+
+let empty_doc () = Xq_xml.Xml_parse.parse "<empty/>"
+
+let plan_load ~(config : Config.t) query source =
+  if config.no_stream then Whole_document "streaming is off (XQ_NO_STREAM=1)"
+  else if config.stream = Some false then
+    Whole_document "streaming is off (--no-stream)"
   else
-    match Xq_rewrite.Projection.analyze (Lazy.force query) with
-    | Xq_rewrite.Projection.Streamable { path; var; positional } ->
-      Some { Xq_algebra.Exec.source; path; var; positional }
-    | Xq_rewrite.Projection.Materialize reason ->
+    let module P = Xq_rewrite.Projection in
+    let a = P.analyze_paths (Lazy.force query) in
+    match (a.P.verdict, a.P.paths) with
+    | P.Streamable { path; var; positional }, _ ->
+      Streamed { Xq_algebra.Exec.source; path; var; positional }
+    | P.Materialize reason, paths -> (
       (* one quiet line, only when streaming was asked for by name —
          the silent default must not get noisy *)
       if config.stream = Some true then
-        Printf.eprintf
-          "xq: streaming requested but not possible (%s); materializing\n%!"
-          reason;
-      None
+        Printf.eprintf "xq: streaming requested but not possible (%s); %s\n%!"
+          reason
+          (match paths with
+           | Ok _ -> "loading a projected document"
+           | Error _ -> "loading the whole document");
+      match paths with Ok ps -> Projected ps | Error r -> Whole_document r)
 
-let empty_doc () = Xq_xml.Xml_parse.parse "<empty/>"
+let load ~config query (source : Xq_xml.Xml_stream.source) =
+  let l = plan_load ~config query source in
+  let doc =
+    match (l, source) with
+    | Streamed _, _ -> empty_doc ()
+    | Projected paths, _ -> Xq_xml.Xml_stream.load ~paths source
+    | Whole_document _, `File p -> Xq_xml.Xml_parse.parse_file p
+    | Whole_document _, `String s -> Xq_xml.Xml_parse.parse s
+  in
+  (l, doc)
+
+let scan_of = function Streamed scan -> Some scan | _ -> None
+
+let load_to_string = function
+  | Streamed scan ->
+    Xq_rewrite.Projection.to_string
+      (Xq_rewrite.Projection.Streamable
+         {
+           path = scan.Xq_algebra.Exec.path;
+           var = scan.Xq_algebra.Exec.var;
+           positional = scan.Xq_algebra.Exec.positional;
+         })
+  | Projected ps -> "projected: " ^ Xq_xml.Xml_stream.path_set_to_string ps
+  | Whole_document reason -> "whole document: " ^ reason
 
 let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config
     ?(knobs = default_knobs) ?(indent = false) ?(explain_analyze = false)
@@ -129,30 +165,24 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config
           compiled_memo := Some c;
           c
       in
-      (* Streamed dispatch: a supplied source streams when the
-         projection verdict allows and nothing disabled it. The verdict
+      (* The one load decision: a supplied source streams when the
+         projection verdict allows, else loads the projected tree the
+         query's path set names, else — streaming switched off, or a
+         path set that falls back — the whole document. The decision
          needs the checked query, so compilation precedes the document
-         here (both are governed either way). *)
-      let scan =
+         here (both are governed either way, and the document loads
+         inside the governed region so XQ_MAX_INPUT / XQ_MAX_DEPTH
+         apply). A scanned query never reads its focus, so an empty
+         document stands in. *)
+      let load, doc =
         match stream_source with
         | Some source ->
-          stream_scan ~config (lazy (get_compiled ()).c_query) source
-        | None -> None
+          let l, doc = load ~config (lazy (get_compiled ()).c_query) source in
+          (Some l, doc)
+        | None ->
+          (None, match load_doc with Some f -> f () | None -> empty_doc ())
       in
-      (* The document parses inside the governed region so the input
-         limits (XQ_MAX_INPUT / XQ_MAX_DEPTH) apply to it. An unstreamed
-         source materializes through the same parser the front ends
-         always used, so the degraded path is byte-identical to never
-         having asked for streaming; a scanned query never reads its
-         focus, so an empty document stands in. *)
-      let doc =
-        match (scan, stream_source) with
-        | Some _, _ -> empty_doc ()
-        | None, Some (`File p) -> Xq_xml.Xml_parse.parse_file p
-        | None, Some (`String s) -> Xq_xml.Xml_parse.parse s
-        | None, None -> (
-          match load_doc with Some f -> f () | None -> empty_doc ())
-      in
+      let scan = Option.bind load scan_of in
       (* budget the query's own work, not the document (streamed input
          is charged as parse-ahead instead) *)
       (match gov with Some g -> Governor.rebaseline g | None -> ());
@@ -176,9 +206,8 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config
           (* when --rewrite recognized the implicit-grouping idiom at
              compile time, say so — the analyzed plan only shows the
              resulting group by, not where it came from; with a
-             streamable source in play, also report the projection
-             verdict — the reason a query materializes is otherwise
-             invisible *)
+             source in play, also report the load the run used —
+             streamed, projected or whole, and why *)
           let rewrites =
             if compiled.c_rewrites = 0 then ""
             else
@@ -186,13 +215,9 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config
                 compiled.c_rewrites
           in
           let verdict =
-            match stream_source with
+            match load with
             | None -> ""
-            | Some _ ->
-              "stream: "
-              ^ Xq_rewrite.Projection.to_string
-                  (Xq_rewrite.Projection.analyze compiled.c_query)
-              ^ "\n"
+            | Some l -> "stream: " ^ load_to_string l ^ "\n"
           in
           (rewrites ^ text ^ verdict, 0)
       in

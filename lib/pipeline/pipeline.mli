@@ -34,11 +34,13 @@ type knobs = {
   k_max_mem_mb : int option;
   k_spill_at_mb : int option;
   k_stream : bool option;
-      (** streamed ingestion when a [stream_source] is supplied:
-          [None] = on when the projection verdict allows (the default),
-          [Some true] = requested by name (a one-line stderr notice when
-          the query is not streamable), [Some false] = off. The
-          [XQ_NO_STREAM=1] environment kill switch beats all three. *)
+      (** streamed or projected ingestion when a [stream_source] is
+          supplied ({!plan_load}): [None] = stream when the projection
+          verdict allows, else load the projected tree (the default),
+          [Some true] = streaming requested by name (a one-line stderr
+          notice when the query is not streamable), [Some false] = load
+          the whole document. The [XQ_NO_STREAM=1] environment kill
+          switch beats all three. *)
 }
 
 (** No strategy (the environment default), no explicit limits, no
@@ -87,17 +89,44 @@ val eval :
   compiled ->
   Xseq.t
 
-(** The scan that streams [query] over [source], when [config] leaves
-    streaming on ([stream], the [no_stream] kill switch) and the
-    projection analysis accepts the query; else [None], with a one-line
-    notice on stderr when streaming was asked for by name. [query] is
-    forced only when streaming is on. {!run} and the CLI's [profile]
-    decide through this. *)
-val stream_scan :
+(** How a per-query document is loaded. *)
+type load =
+  | Streamed of Xq_algebra.Exec.scan
+      (** scanned: matched subtrees feed the plan's leading [for] *)
+  | Projected of Xq_xml.Xml_stream.path_set
+      (** a projected tree holding only the paths the query reads *)
+  | Whole_document of string  (** the whole tree, and why *)
+
+(** The one load decision for a per-query document: stream when the
+    projection verdict allows, else the projected tree of the query's
+    path set; the whole document only when [config] switches streaming
+    off ([--no-stream], [XQ_NO_STREAM=1], [k_stream = Some false]) or
+    the path set falls back. When streaming was asked for by name and
+    is not possible, a one-line notice goes to stderr. [query] is
+    forced only when streaming is on, so under [--no-stream] a
+    malformed document is reported before a bad query. *)
+val plan_load :
   config:Xq_governor.Config.t ->
   Xq_lang.Ast.query Lazy.t ->
   Xq_xml.Xml_stream.source ->
-  Xq_algebra.Exec.scan option
+  load
+
+(** [plan_load], then the context document it loads: an empty stand-in
+    when streamed. {!run} and the CLI's [profile] load through this. *)
+val load :
+  config:Xq_governor.Config.t ->
+  Xq_lang.Ast.query Lazy.t ->
+  Xq_xml.Xml_stream.source ->
+  load * Node.t
+
+(** The scan of a streamed load. *)
+val scan_of : load -> Xq_algebra.Exec.scan option
+
+(** EXPLAIN ANALYZE's [stream:] line, without the key: e.g.
+    ["streamable: $o <- scan /orders/order"],
+    ["projected: //order/lineitem, //order/lineitem/shipmode (whole)"]
+    or ["whole document: streaming is off (--no-stream)"]. *)
+val load_to_string : load -> string
 
 (** Serialize a full result sequence (never partial). *)
 val render : ?indent:bool -> Xseq.t -> string
@@ -131,19 +160,17 @@ type report = {
     installation and before any work — the server registers it in its
     in-flight table there.
 
-    [stream_source] supplies the document as a streamable source
-    instead of [load_doc]. When streaming is enabled ([k_stream], the
-    [XQ_NO_STREAM] kill switch) and the projection analysis accepts the
-    query, the source becomes an [Exec.scan]: the document is scanned
-    with projection pushdown and matched subtrees feed the plan's
-    leading [for] as parsing proceeds — memory stays bounded by the
+    [stream_source] supplies the document as a source instead of
+    [load_doc], loaded through {!load}: a streamable query scans it
+    with projection pushdown, matched subtrees feeding the plan's
+    leading [for] as parsing proceeds, so memory stays bounded by the
     matched working set (and the spill watermark) rather than the
-    document size, with byte-identical output. Otherwise the source
-    materializes through the ordinary parser and everything behaves as
-    if streaming were never asked for. Either way one branch follows:
+    document size; any other query runs over the projected tree of its
+    path set; with streaming switched off, over the whole document.
+    Output is byte-identical either way. Then one branch follows:
     rebaseline, then execute ([explain_analyze]: the analyzed run,
-    streamed when the result would be, plus a [stream:] verdict line)
-    and render. *)
+    streamed when the result would be, plus a [stream:] line naming the
+    load used, {!load_to_string}) and render. *)
 val run :
   ?scope:[ `Process | `Domain ] ->
   ?force_governor:bool ->

@@ -290,8 +290,10 @@ let run_request t (rq : Protocol.run_request) =
     in
     (* A STREAM request bypasses the resident document store: the point
        of streaming a one-shot document is precisely not to materialize
-       (or cache) it. Without the explicit header, documents keep going
-       through the store / per-query parse as before. *)
+       (or cache) it. Without the explicit header, a path goes through
+       the store, which keeps whole trees. An inline document is a
+       per-query load either way, so the pipeline's one load decision
+       streams, projects or parses it whole. *)
     let streaming = rq.rq_knobs.Pipeline.k_stream = Some true in
     let load_doc, stream_source =
       match rq.rq_doc with
@@ -299,9 +301,7 @@ let run_request t (rq : Protocol.run_request) =
       | Protocol.Doc_path p ->
         if streaming then (None, Some (`File p))
         else (Some (fun () -> Doc_store.load t.doc_store p), None)
-      | Protocol.Doc_inline xml ->
-        if streaming then (None, Some (`String xml))
-        else (Some (fun () -> Xq_xml.Xml_parse.parse xml), None)
+      | Protocol.Doc_inline xml -> (None, Some (`String xml))
     in
     (* every server query is governed (unlimited if no knob set a
        limit), so a drain deadline can cancel it cooperatively *)

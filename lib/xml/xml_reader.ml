@@ -612,6 +612,41 @@ let text_run r el =
 (* The second byte of markup at [pos], or '\000'. *)
 let markup r = if ensure r 2 then Bytes.unsafe_get r.buf (r.pos + 1) else '\000'
 
+type item = End | Element | Other
+
+(* The next item of content that is not built: the end tag of the
+   element spelled [stack.[off .. off+len)] (consumed and checked), a
+   child element (its '<' left unread), or anything else, validated and
+   dropped. *)
+let skip_item r off len =
+  if not (more r) then unterminated r off len;
+  match Bytes.unsafe_get r.buf r.pos with
+  | '<' -> (
+    match markup r with
+    | '/' ->
+      end_tag r off len;
+      End
+    | '!' when looking_at r "<!--" ->
+      r.pos <- r.pos + 4;
+      ignore (skip_comment r ~build:false);
+      Other
+    | '!' when looking_at r "<![CDATA[" ->
+      r.pos <- r.pos + 9;
+      ignore (read_cdata r ~build:false);
+      Other
+    | '?' ->
+      r.pos <- r.pos + 2;
+      ignore (read_pi r ~build:false);
+      Other
+    | _ -> Element)
+  | '&' ->
+    advance r;
+    read_entity r None;
+    Other
+  | _ ->
+    r.pos <- chars r.buf r.pos r.lim;
+    Other
+
 (* A built element, its start tag's name already on [stack] at [off]. *)
 let rec build_rest r h state off ~matched =
   let name = Xname.intern r.names (Bytes.unsafe_to_string r.stack) off (r.sp - off) in
@@ -673,43 +708,84 @@ and child r h state =
     ignore (build_rest r h st off ~matched:true);
     h.on_capture (abs_pos r - start)
   end
-  else begin
-    let len = r.sp - off in
-    if attrs_skip r 0 then begin
-      r.sp <- off + len;
-      skip_content r h st off len
-    end;
-    close_element r off
-  end
+  else skip_rest r h st off
+
+(* A dropped element, its name on [stack] at [off]: the rest of it is
+   validated, its attribute names stacked above its own for the
+   duplicate check. *)
+and skip_rest r h state off =
+  let len = r.sp - off in
+  if attrs_skip r 0 then begin
+    r.sp <- off + len;
+    skip_content r h state off len
+  end;
+  close_element r off
 
 and skip_content r h state off len =
-  if not (more r) then unterminated r off len;
-  match Bytes.unsafe_get r.buf r.pos with
-  | '<' -> (
-    match markup r with
-    | '/' -> end_tag r off len
-    | '!' when looking_at r "<!--" ->
-      r.pos <- r.pos + 4;
-      ignore (skip_comment r ~build:false);
-      skip_content r h state off len
-    | '!' when looking_at r "<![CDATA[" ->
-      r.pos <- r.pos + 9;
-      ignore (read_cdata r ~build:false);
-      skip_content r h state off len
-    | '?' ->
-      r.pos <- r.pos + 2;
-      ignore (read_pi r ~build:false);
-      skip_content r h state off len
-    | _ ->
-      child r h state;
-      skip_content r h state off len)
-  | '&' ->
-    advance r;
-    read_entity r None;
+  match skip_item r off len with
+  | End -> ()
+  | Element ->
+    child r h state;
     skip_content r h state off len
-  | _ ->
-    r.pos <- chars r.buf r.pos r.lim;
-    skip_content r h state off len
+  | Other -> skip_content r h state off len
+
+(* --- the projected build --------------------------------------------------- *)
+
+type plan = {
+  step : int -> Bytes.t -> int -> int -> int;
+  keep : int;
+  whole : int;
+}
+
+(* An element below the partly built [parent], at its '<': dropped when
+   its state is dead, built whole when it has a bit of [whole], else
+   built with its attributes when it has a bit of [keep] and without
+   them otherwise, its content projected in turn. An element with no
+   bit of [keep] is attached only when something below it was: it is
+   just an ancestor of what the query reads. Returns whether [parent]
+   got a child. *)
+let rec proj_child r p parent state =
+  let off = open_tag r in
+  let len = r.sp - off in
+  let st = p.step state r.stack off len in
+  if st = 0 then begin
+    skip_rest r no_hooks 0 off;
+    false
+  end
+  else if st land p.whole <> 0 then begin
+    Node.append_child parent (build_rest r no_hooks 0 off ~matched:false);
+    true
+  end
+  else begin
+    let el =
+      Node.element
+        (Xname.intern r.names (Bytes.unsafe_to_string r.stack) off len)
+    in
+    let keep = st land p.keep <> 0 in
+    let content =
+      if keep then attrs_build r el
+      else begin
+        let c = attrs_skip r 0 in
+        r.sp <- off + len;
+        c
+      end
+    in
+    let kept = content && proj_content r p el st off len false in
+    close_element r off;
+    if keep || kept then begin
+      Node.seal el;
+      Node.append_child parent el
+    end;
+    keep || kept
+  end
+
+and proj_content r p el state off len kept =
+  match skip_item r off len with
+  | End -> kept
+  | Element ->
+    let k = proj_child r p el state in
+    proj_content r p el state off len (k || kept)
+  | Other -> proj_content r p el state off len kept
 
 (* Prolog and epilog items: comments, PIs and a DOCTYPE. They attach to
    [doc] when one is built; the XML declaration never does. *)
@@ -789,6 +865,20 @@ let fragment ?keep_whitespace ?max_depth ?max_bytes r =
   skip_ws r;
   if more r then error r "content after the element";
   el
+
+(* The document node holds state [root]; prolog and epilog items are
+   dropped with the text of partly built elements, since a query that
+   could see them reads the whole document. *)
+let projected ?keep_whitespace ?max_depth ?max_bytes r p ~root =
+  start ?keep_whitespace ?max_depth ?max_bytes r;
+  let doc = Node.document () in
+  misc r None;
+  root_element r "a root element";
+  ignore (proj_child r p doc root);
+  misc r None;
+  if more r then error r "content after the root element";
+  Node.seal doc;
+  doc
 
 (* The document node is never built; it holds state 1. *)
 let project ?keep_whitespace ?max_depth ?max_bytes r h =

@@ -64,3 +64,29 @@ type hooks = {
     selects; the document node (state 1) is never built. *)
 val project :
   ?keep_whitespace:bool -> ?max_depth:int -> ?max_bytes:int -> t -> hooks -> unit
+
+(** How a projected build treats each element. [step state stack off len]
+    is the state of an element spelled [stack.[off .. off+len)] whose
+    parent has the nonzero [state]. State 0 is dead: the element is
+    validated and dropped. An element with a bit of [whole] is built
+    with its whole subtree. One with a bit of [keep] is built with its
+    attributes, and its content is projected in turn: text, comments
+    and PIs are validated and dropped. Any other live element is built,
+    without attributes, only when an element below it is. *)
+type plan = {
+  step : int -> Bytes.t -> int -> int -> int;
+  keep : int;
+  whole : int;
+}
+
+(** Read a complete document into a [Document] node (state [root])
+    holding only what [plan] builds, in document order. It raises the
+    errors and positions {!document} raises. *)
+val projected :
+  ?keep_whitespace:bool ->
+  ?max_depth:int ->
+  ?max_bytes:int ->
+  t ->
+  plan ->
+  root:int ->
+  Xq_xdm.Node.t

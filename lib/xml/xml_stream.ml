@@ -119,6 +119,102 @@ let scan ?keep_whitespace ?max_depth ?max_bytes ~path ~emit (src : source) =
   | `String s -> go (Xml_reader.of_string ~faults:true s)
   | `File p -> Xml_reader.with_file ~faults:true p go
 
+(* --- projected loads ------------------------------------------------------ *)
+
+type mark = Navigate | Whole
+
+type path_set = (path * mark) list
+
+let path_set_to_string = function
+  | [] -> "(no paths)"
+  | ps ->
+    String.concat ", "
+      (List.map
+         (fun (p, m) ->
+           (if p = [] then "/" else path_to_string p)
+           ^ match m with Whole -> " (whole)" | Navigate -> "")
+         ps)
+
+(* The path set as a trie: node 0 is the document, node [c > 0] the
+   step that ends one path prefix below its parent node. An element's
+   state has bit [c] when the element is in the result of node [c]'s
+   prefix, and one more bit per node with a descendant step below it,
+   kept down the tree while some ancestor is at that node. [None] when
+   the root is marked whole or the bits do not fit in an int: the
+   caller then builds the whole document. *)
+let plan_of (ps : path_set) =
+  (* node ids by reversed prefix; [edges] holds (node, parent, step) *)
+  let ids = Hashtbl.create 16 and edges = ref [] and n = ref 1 in
+  Hashtbl.replace ids [] 0;
+  let rec node rev_prefix = function
+    | [] -> Hashtbl.find ids rev_prefix
+    | s :: rest ->
+      let key = s :: rev_prefix in
+      if not (Hashtbl.mem ids key) then begin
+        edges := (!n, Hashtbl.find ids rev_prefix, s) :: !edges;
+        Hashtbl.replace ids key !n;
+        incr n
+      end;
+      node key rest
+  in
+  let wholes =
+    List.filter_map
+      (fun (p, m) ->
+        let c = node [] p in
+        if m = Whole then Some c else None)
+      ps
+  in
+  let n = !n and bits = ref !n and fits = Sys.int_size - 1 in
+  let anc = Array.make n 0 in
+  List.iter
+    (fun (_, parent, s) ->
+      if s.desc && anc.(parent) = 0 then begin
+        if !bits < fits then anc.(parent) <- 1 lsl !bits;
+        incr bits
+      end)
+    !edges;
+  if List.mem 0 wholes || !bits > fits then None
+  else begin
+    let edges = Array.of_list !edges in
+    let reach =
+      Array.map
+        (fun (_, parent, s) ->
+          (1 lsl parent) lor if s.desc then anc.(parent) else 0)
+        edges
+    and bit = Array.map (fun (c, _, _) -> 1 lsl c) edges
+    and tests = Array.map (fun (_, _, s) -> byte_test s.test) edges in
+    let live = Array.mapi (fun j a -> if a = 0 then 0 else (1 lsl j) lor a) anc in
+    let step m b off len =
+      let out = ref 0 in
+      for i = 0 to Array.length edges - 1 do
+        if m land reach.(i) <> 0 && test_bytes tests.(i) b off len then
+          out := !out lor bit.(i)
+      done;
+      for j = 0 to n - 1 do
+        if m land live.(j) <> 0 then out := !out lor anc.(j)
+      done;
+      !out
+    in
+    Some
+      {
+        Xml_reader.step;
+        keep = Array.fold_left ( lor ) 0 bit;
+        whole = List.fold_left (fun w c -> w lor (1 lsl c)) 0 wholes;
+      }
+  end
+
+let load_reader ?keep_whitespace ?max_depth ?max_bytes ~paths r =
+  match plan_of paths with
+  | Some plan ->
+    Xml_reader.projected ?keep_whitespace ?max_depth ?max_bytes r plan ~root:1
+  | None -> Xml_reader.document ?keep_whitespace ?max_depth ?max_bytes r
+
+let load ?keep_whitespace ?max_depth ?max_bytes ~paths (src : source) =
+  let go = load_reader ?keep_whitespace ?max_depth ?max_bytes ~paths in
+  match src with
+  | `String s -> go (Xml_reader.of_string s)
+  | `File p -> Xml_reader.with_file p go
+
 (* Collect all matches of [path] — the test harness's entry point. *)
 let collect ?keep_whitespace ?max_depth ?max_bytes ~path src =
   let acc = ref [] in

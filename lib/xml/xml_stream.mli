@@ -1,11 +1,13 @@
-(** Streaming XML ingestion with projection pushdown.
+(** Streaming and projected XML ingestion.
 
     A pull-based, chunked scan of a document that builds XDM subtrees
     {e only} for elements matched by a projection path and discards
     everything else at parse time, so memory is bounded by the matched
-    subtrees in flight rather than the document size. This module holds
-    only the projection NFA and its capture logic; the reading is
-    {!Xml_reader}'s, the same reader {!Xml_parse} uses.
+    subtrees in flight rather than the document size; and a projected
+    load ({!load}) that builds one tree holding only the paths of a
+    query's path set. This module holds the projection automata and the
+    scan's capture logic; the reading is {!Xml_reader}'s, the same
+    reader {!Xml_parse} uses.
 
     An element that is not built is validated without interning (name
     tests and end tags compare raw bytes), without buffering its text
@@ -63,6 +65,47 @@ val scan :
   emit:(bytes:int -> Node.t -> unit) ->
   source ->
   unit
+
+(** {1 Projected loads} *)
+
+(** How a query uses the nodes at a path: it only navigates them
+    (counts them, tests them, compares their identity), or it reads
+    their whole subtree (atomizes, compares, copies or serializes
+    them). *)
+type mark = Navigate | Whole
+
+(** The root-anchored paths a query navigates, each with its mark. The
+    empty path is the document node itself. *)
+type path_set = (path * mark) list
+
+(** E.g. ["//order/lineitem, //order/lineitem/shipmode (whole)"]. *)
+val path_set_to_string : path_set -> string
+
+(** [load ~paths src] reads [src] into a [Document] node that holds
+    only what a query navigating [paths] can see: every element at a
+    path (a prefix of one included) with its attributes, the whole
+    subtree of every element at a [Whole] path, and the ancestors of
+    both, in document order. Everything else is validated and
+    dropped, with the errors and positions {!Xml_parse.parse_file}
+    raises; like it, the load draws no read faults. A path set whose
+    root is [Whole], or too large for the state bits, loads the whole
+    document. *)
+val load :
+  ?keep_whitespace:bool ->
+  ?max_depth:int ->
+  ?max_bytes:int ->
+  paths:path_set ->
+  source ->
+  Node.t
+
+(** [load] over an already opened reader. *)
+val load_reader :
+  ?keep_whitespace:bool ->
+  ?max_depth:int ->
+  ?max_bytes:int ->
+  paths:path_set ->
+  Xml_reader.t ->
+  Node.t
 
 (** [collect ~path src] gathers all matches in document order —
     a convenience for tests. *)

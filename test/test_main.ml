@@ -31,6 +31,7 @@ let () =
          Test_corpus.suites;
          Test_fuzz.suites;
          Test_stream.suites;
+         Test_projection.suites;
          Test_server.suites;
          Test_lifecycle.suites;
        ])

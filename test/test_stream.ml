@@ -460,7 +460,7 @@ let explain_streamed_spill_figures () =
   check_int "operator spilled= figures are the governor's" spilled
     (operator_spilled text)
 
-(* [xq profile] decides through [Pipeline.stream_scan], as [run] does:
+(* [xq profile] decides through [Pipeline.plan_load], as [run] does:
    with a file input a streamable query streams, and the operator rows
    it prints are the [--no-stream] rows, self times aside. *)
 let cli_exe = Filename.concat ".." (Filename.concat "bin" "xq_cli.exe")
@@ -485,7 +485,9 @@ let profile_rows args =
 
 let profile_streams () =
   let query = Lazy.from_val (Parser.parse_query group_q) in
-  let verdict config = Pipeline.stream_scan ~config query (`File "doc.xml") in
+  let verdict config =
+    Pipeline.scan_of (Pipeline.plan_load ~config query (`File "doc.xml"))
+  in
   check_bool "a streamable query streams" true
     (verdict Xq_governor.Config.default <> None);
   check_bool "--no-stream materializes" true

@@ -555,7 +555,8 @@ let leaf_tests =
    7-byte fills (refill seams everywhere), and the streamed scan with
    the root captured (every element built), with a dead path (every
    element skipped without the NFA) and with a live path that matches
-   nothing (every element name-tested, none built). *)
+   nothing (every element name-tested, none built), and two projected
+   loads, over a string and under 7-byte fills. *)
 
 module Reader = Xq_xml.Xml_reader
 module Stream = Xq_xml.Xml_stream
@@ -564,6 +565,18 @@ let stream_root_path = [ { Stream.desc = false; test = Stream.Any } ]
 let nothing = Stream.Name (Xname.of_string "nothing")
 let dead_path = [ { Stream.desc = false; test = nothing } ]
 let live_path = [ { Stream.desc = true; test = nothing } ]
+
+(* Projected loads: the first builds [b] elements with their
+   attributes, [t] elements whole and every other element only as an
+   ancestor; the second builds [/a/b] and [/a/s] with their attributes
+   and [/a/s/t] whole, and drops every other element below [a] as
+   dead. *)
+let projected_live, projected_dead =
+  let step desc name = { Stream.desc; test = Stream.Name (Xname.of_string name) } in
+  ( [ ([ step true "b" ], Stream.Navigate); ([ step true "t" ], Stream.Whole);
+      (live_path, Stream.Navigate) ],
+    [ ([ step false "a"; step false "b" ], Stream.Navigate);
+      ([ step false "a"; step false "s"; step false "t" ], Stream.Whole) ] )
 
 (* A reader over [s] whose fill hands out at most [step] bytes. *)
 let fill_reader step s =
@@ -608,6 +621,14 @@ let fronts ?max_depth () =
   ]
   @ scan "/*" stream_root_path @ scan "/nothing" dead_path
   @ scan "//nothing" live_path
+  @ [
+      ("projected", fun src ->
+          ignore (Stream.load ?max_depth ~paths:projected_live (`String src)));
+      ("projected fill 7", fun src ->
+          ignore
+            (Stream.load_reader ?max_depth ~paths:projected_dead
+               (fill_reader 7 src)));
+    ]
 
 (* How a front rejected [src]: a positioned parse error or a structured
    engine error, rendered; [None] when it accepted the input. *)

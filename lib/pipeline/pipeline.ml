@@ -79,7 +79,7 @@ type report = {
 
 type load =
   | Streamed of Xq_algebra.Exec.scan
-  | Projected of Xq_xml.Xml_stream.path_set
+  | Projected of Xq_xml.Xml_stream.path_set * Xq_xml.Xml_stream.automaton
   | Whole_document of string
 
 let empty_doc () = Xq_xml.Xml_parse.parse "<empty/>"
@@ -94,23 +94,31 @@ let plan_load ~(config : Config.t) query source =
     match (a.P.verdict, a.P.paths) with
     | P.Streamable { path; var; positional }, _ ->
       Streamed { Xq_algebra.Exec.source; path; var; positional }
-    | P.Materialize reason, paths -> (
+    | P.Materialize reason, paths ->
+      let load =
+        match paths with
+        | Error r -> Whole_document r
+        | Ok ps -> (
+          match Xq_xml.Xml_stream.compile ps with
+          | Ok a -> Projected (ps, a)
+          | Error r -> Whole_document r)
+      in
       (* one quiet line, only when streaming was asked for by name —
          the silent default must not get noisy *)
       if config.stream = Some true then
         Printf.eprintf "xq: streaming requested but not possible (%s); %s\n%!"
           reason
-          (match paths with
-           | Ok _ -> "loading a projected document"
-           | Error _ -> "loading the whole document");
-      match paths with Ok ps -> Projected ps | Error r -> Whole_document r)
+          (match load with
+           | Projected _ -> "loading a projected document"
+           | _ -> "loading the whole document");
+      load
 
 let load ~config query (source : Xq_xml.Xml_stream.source) =
   let l = plan_load ~config query source in
   let doc =
     match (l, source) with
     | Streamed _, _ -> empty_doc ()
-    | Projected paths, _ -> Xq_xml.Xml_stream.load ~paths source
+    | Projected (_, a), _ -> Xq_xml.Xml_stream.load_compiled a source
     | Whole_document _, `File p -> Xq_xml.Xml_parse.parse_file p
     | Whole_document _, `String s -> Xq_xml.Xml_parse.parse s
   in
@@ -127,7 +135,7 @@ let load_to_string = function
            var = scan.Xq_algebra.Exec.var;
            positional = scan.Xq_algebra.Exec.positional;
          })
-  | Projected ps -> "projected: " ^ Xq_xml.Xml_stream.path_set_to_string ps
+  | Projected (ps, _) -> "projected: " ^ Xq_xml.Xml_stream.path_set_to_string ps
   | Whole_document reason -> "whole document: " ^ reason
 
 let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config

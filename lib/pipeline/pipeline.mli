@@ -93,18 +93,20 @@ val eval :
 type load =
   | Streamed of Xq_algebra.Exec.scan
       (** scanned: matched subtrees feed the plan's leading [for] *)
-  | Projected of Xq_xml.Xml_stream.path_set
-      (** a projected tree holding only the paths the query reads *)
+  | Projected of Xq_xml.Xml_stream.path_set * Xq_xml.Xml_stream.automaton
+      (** a projected tree holding only the paths the query reads, and
+          their compiled automaton *)
   | Whole_document of string  (** the whole tree, and why *)
 
 (** The one load decision for a per-query document: stream when the
     projection verdict allows, else the projected tree of the query's
     path set; the whole document only when [config] switches streaming
     off ([--no-stream], [XQ_NO_STREAM=1], [k_stream = Some false]) or
-    the path set falls back. When streaming was asked for by name and
-    is not possible, a one-line notice goes to stderr. [query] is
-    forced only when streaming is on, so under [--no-stream] a
-    malformed document is reported before a bad query. *)
+    the path set falls back or does not compile (compiled once, here).
+    When streaming was asked for by name and is not possible, a
+    one-line notice goes to stderr. [query] is forced only when
+    streaming is on, so under [--no-stream] a malformed document is
+    reported before a bad query. *)
 val plan_load :
   config:Xq_governor.Config.t ->
   Xq_lang.Ast.query Lazy.t ->

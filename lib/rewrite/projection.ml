@@ -89,16 +89,18 @@ let rec fuse = function
       (fuse rest)
   | [ Dos ] -> None  (* trailing dos selects non-elements *)
 
-let scan_path_of (e : Ast.expr) : Xml_stream.path option =
-  match unroll e [] with
-  | None -> None
-  | Some raws -> begin
-    match fuse raws with
-    | Some path
-      when path <> [] && List.length path <= Xml_stream.max_steps ->
-      Some path
-    | _ -> None
-  end
+(* The path a leading binding scans: one the scan's automaton compiles. *)
+let scan_path_of (e : Ast.expr) =
+  let not_a_path =
+    Error "the first for binding is not an absolute child/descendant element path"
+  in
+  match Option.bind (unroll e []) fuse with
+  | None | Some [] -> not_a_path
+  | Some path -> (
+    match Xml_stream.compile [ (path, Xml_stream.Whole) ] with
+    | Ok _ -> Ok path
+    | Error reason ->
+      Error ("the first for binding's path does not scan: " ^ reason))
 
 (* --- abstract values ------------------------------------------------------ *)
 
@@ -457,13 +459,8 @@ type t = { verdict : verdict; paths : (Xml_stream.path_set, string) result }
 (* The leading binding a streamed run scans, if the body has the shape. *)
 let leading (q : Ast.query) =
   match q.Ast.body with
-  | Ast.Flwor { Ast.clauses = Ast.For (first :: _) :: _; _ } -> (
-    match scan_path_of first.Ast.for_src with
-    | Some path -> Ok (first, path)
-    | None ->
-      Error
-        "the first for binding is not an absolute child/descendant element \
-         path")
+  | Ast.Flwor { Ast.clauses = Ast.For (first :: _) :: _; _ } ->
+    Result.map (fun path -> (first, path)) (scan_path_of first.Ast.for_src)
   | Ast.Flwor _ -> Error "the query does not start with a for clause"
   | _ -> Error "the query body is not a single FLWOR"
 

@@ -1,5 +1,7 @@
-(* The one XML reader: a chunked window over the source, the lexer, and
-   the walk that either builds a node or validates and drops an element.
+(* The one XML reader: a chunked window over the source, the lexer, the
+   whole build, and the one projecting walk, which runs a path automaton
+   ([plan]) and either builds an element, into a tree or to a scan's
+   sink, or validates and drops it.
 
    The window is [buf.[pos .. lim)]. A string is read in place; a file
    or fill function refills a compacting 64 KB window. A refill keeps
@@ -507,16 +509,19 @@ let rec attrs_build r el =
   | _ -> error r "malformed start tag"
 
 (* A dropped element's attributes: names go onto [stack] above the
-   element's own, [n] so far, for the same duplicate check. *)
-let rec attrs_skip r n =
+   element's own, [n] so far, for the same duplicate check, and are
+   popped back to [top] when the tag ends. *)
+let rec attrs_skip r top n =
   skip_ws r;
   match peek r with
   | '>' ->
     advance r;
+    r.sp <- top;
     true
   | '/' ->
     advance r;
     eat r '>';
+    r.sp <- top;
     false
   | c when is_name_start c ->
     let s = scan_name r in
@@ -538,25 +543,27 @@ let rec attrs_skip r n =
       r.attrs <- Array.append r.attrs r.attrs;
     r.attrs.(2 * n) <- off;
     r.attrs.(2 * n + 1) <- len;
-    attrs_skip r (n + 1)
+    attrs_skip r top (n + 1)
   | _ -> error r "malformed start tag"
 
-(* --- the walk ------------------------------------------------------------ *)
+(* --- the build ----------------------------------------------------------- *)
 
-(* How a projecting read treats each element (see the interface). A
-   materializing read builds everything in state 0. *)
-type hooks = {
-  child : int -> Bytes.t -> int -> int -> int;
-  accept : int;
-  on_match : Node.t -> unit;
-  on_capture : int -> unit;
+(* The path automaton of a read (see the interface). The document node
+   holds state 1; state 0 is dead and never stepped. *)
+type plan = {
+  step : int -> Bytes.t -> int -> int -> int;
+  keep : int;
+  whole : int;
 }
 
-let no_hooks =
-  { child = (fun _ _ _ _ -> 0); accept = 0; on_match = ignore; on_capture = ignore }
+type sink = { on_match : Node.t -> unit; on_capture : int -> unit }
 
-let child_state r h state off =
-  if state = 0 then 0 else h.child state r.stack off (r.sp - off)
+(* A whole build's automaton: every element is in state 0. *)
+let unprojected = { step = (fun _ _ _ _ -> 0); keep = 0; whole = 0 }
+
+(* The state of the element whose name is on [stack] at [off]. *)
+let child_state r p state off =
+  if state = 0 then 0 else p.step state r.stack off (r.sp - off)
 
 (* Character data accumulates in [text] (empty whenever an element
    opens or closes, since every markup item flushes it first) and
@@ -647,18 +654,21 @@ let skip_item r off len =
     r.pos <- chars r.buf r.pos r.lim;
     Other
 
-(* A built element, its start tag's name already on [stack] at [off]. *)
-let rec build_rest r h state off ~matched =
+(* A built element, its start tag's name already on [stack] at [off]
+   and its state [state]. In a scan, the whole-marked elements inside a
+   match go to [on_match] as they open. *)
+let rec build_rest r p on_match state off =
   let name = Xname.intern r.names (Bytes.unsafe_to_string r.stack) off (r.sp - off) in
   let el = Node.element name in
-  if matched then h.on_match el;
-  if attrs_build r el then build_content r h el state off (r.sp - off);
+  let matched = state land p.whole <> 0 in
+  if matched then on_match el;
+  if attrs_build r el then build_content r p on_match el state off (r.sp - off);
   Node.seal el;
   close_element r off;
-  (* a match root is already referenced from the capture's queue *)
+  (* a match is already referenced from the scan's queue *)
   if matched then el else Node.as_leaf el
 
-and build_content r h el state off len =
+and build_content r p on_match el state off len =
   if not (more r) then unterminated r off len;
   match Bytes.unsafe_get r.buf r.pos with
   | '<' -> (
@@ -670,122 +680,87 @@ and build_content r h el state off len =
       flush_text r el;
       r.pos <- r.pos + 4;
       Node.append_child el (Node.comment (skip_comment r ~build:true));
-      build_content r h el state off len
+      build_content r p on_match el state off len
     | '!' when looking_at r "<![CDATA[" ->
       r.pos <- r.pos + 9;
       Buffer.add_string r.text (read_cdata r ~build:true);
       r.keep_text <- true;
-      build_content r h el state off len
+      build_content r p on_match el state off len
     | '?' ->
       flush_text r el;
       r.pos <- r.pos + 2;
       let target, data = read_pi r ~build:true in
       Node.append_child el (Node.pi ~target ~data);
-      build_content r h el state off len
+      build_content r p on_match el state off len
     | _ ->
       flush_text r el;
       let coff = open_tag r in
-      let st = child_state r h state coff in
-      Node.append_child el
-        (build_rest r h st coff ~matched:(st land h.accept <> 0));
-      build_content r h el state off len)
+      let st = child_state r p state coff in
+      Node.append_child el (build_rest r p on_match st coff);
+      build_content r p on_match el state off len)
   | '&' ->
     advance r;
     read_entity r (Some r.text);
     r.keep_text <- true;
-    build_content r h el state off len
+    build_content r p on_match el state off len
   | _ ->
     text_run r el;
-    build_content r h el state off len
+    build_content r p on_match el state off len
 
-(* An element below no built one, at its '<': built (a capture) when
-   its state accepts, else validated and dropped. *)
-and child r h state =
+(* --- the projecting walk --------------------------------------------------- *)
+
+(* An element below no whole-built one, at its '<', whose parent
+   [parent] has [state]. A whole-marked element is built whole and
+   attached to [parent]; a scan's [sink] takes it instead (with the
+   whole-marked elements inside it, as they open) and its span when it
+   closes. Without a sink, another live element is built, with its
+   attributes when it has a bit of [keep], and attached when it has one
+   or something below it was: it is an ancestor of what the query
+   reads. Returns whether [parent] got a child. *)
+let rec proj_child r p sink parent state =
   let start = abs_pos r in
   let off = open_tag r in
-  let st = child_state r h state off in
-  if st land h.accept <> 0 then begin
-    ignore (build_rest r h st off ~matched:true);
-    h.on_capture (abs_pos r - start)
-  end
-  else skip_rest r h st off
-
-(* A dropped element, its name on [stack] at [off]: the rest of it is
-   validated, its attribute names stacked above its own for the
-   duplicate check. *)
-and skip_rest r h state off =
   let len = r.sp - off in
-  if attrs_skip r 0 then begin
-    r.sp <- off + len;
-    skip_content r h state off len
-  end;
-  close_element r off
+  let st = child_state r p state off in
+  if st land p.whole <> 0 then
+    match sink with
+    | None ->
+      Node.append_child parent (build_rest r unprojected ignore 0 off);
+      true
+    | Some s ->
+      ignore (build_rest r p s.on_match st off);
+      s.on_capture (abs_pos r - start);
+      false
+  else
+    match sink with
+    | None when st <> 0 ->
+      let el =
+        Node.element
+          (Xname.intern r.names (Bytes.unsafe_to_string r.stack) off len)
+      in
+      let keep = st land p.keep <> 0 in
+      let content = if keep then attrs_build r el else attrs_skip r (off + len) 0 in
+      let kept = content && proj_content r p sink el st off len false in
+      close_element r off;
+      if keep || kept then begin
+        Node.seal el;
+        Node.append_child parent el
+      end;
+      keep || kept
+    | None | Some _ ->
+      (* a dead element, or in a scan one above a match: not built *)
+      if attrs_skip r (off + len) 0 then
+        ignore (proj_content r p sink parent st off len false);
+      close_element r off;
+      false
 
-and skip_content r h state off len =
-  match skip_item r off len with
-  | End -> ()
-  | Element ->
-    child r h state;
-    skip_content r h state off len
-  | Other -> skip_content r h state off len
-
-(* --- the projected build --------------------------------------------------- *)
-
-type plan = {
-  step : int -> Bytes.t -> int -> int -> int;
-  keep : int;
-  whole : int;
-}
-
-(* An element below the partly built [parent], at its '<': dropped when
-   its state is dead, built whole when it has a bit of [whole], else
-   built with its attributes when it has a bit of [keep] and without
-   them otherwise, its content projected in turn. An element with no
-   bit of [keep] is attached only when something below it was: it is
-   just an ancestor of what the query reads. Returns whether [parent]
-   got a child. *)
-let rec proj_child r p parent state =
-  let off = open_tag r in
-  let len = r.sp - off in
-  let st = p.step state r.stack off len in
-  if st = 0 then begin
-    skip_rest r no_hooks 0 off;
-    false
-  end
-  else if st land p.whole <> 0 then begin
-    Node.append_child parent (build_rest r no_hooks 0 off ~matched:false);
-    true
-  end
-  else begin
-    let el =
-      Node.element
-        (Xname.intern r.names (Bytes.unsafe_to_string r.stack) off len)
-    in
-    let keep = st land p.keep <> 0 in
-    let content =
-      if keep then attrs_build r el
-      else begin
-        let c = attrs_skip r 0 in
-        r.sp <- off + len;
-        c
-      end
-    in
-    let kept = content && proj_content r p el st off len false in
-    close_element r off;
-    if keep || kept then begin
-      Node.seal el;
-      Node.append_child parent el
-    end;
-    keep || kept
-  end
-
-and proj_content r p el state off len kept =
+and proj_content r p sink el state off len kept =
   match skip_item r off len with
   | End -> kept
   | Element ->
-    let k = proj_child r p el state in
-    proj_content r p el state off len (k || kept)
-  | Other -> proj_content r p el state off len kept
+    let k = proj_child r p sink el state in
+    proj_content r p sink el state off len (k || kept)
+  | Other -> proj_content r p sink el state off len kept
 
 (* Prolog and epilog items: comments, PIs and a DOCTYPE. They attach to
    [doc] when one is built; the XML declaration never does. *)
@@ -844,7 +819,7 @@ let root_element r what =
 
 let element r =
   let off = open_tag r in
-  build_rest r no_hooks 0 off ~matched:false
+  build_rest r unprojected ignore 0 off
 
 let document ?keep_whitespace ?max_depth ?max_bytes r =
   start ?keep_whitespace ?max_depth ?max_bytes r;
@@ -866,25 +841,24 @@ let fragment ?keep_whitespace ?max_depth ?max_bytes r =
   if more r then error r "content after the element";
   el
 
-(* The document node holds state [root]; prolog and epilog items are
-   dropped with the text of partly built elements, since a query that
-   could see them reads the whole document. *)
-let projected ?keep_whitespace ?max_depth ?max_bytes r p ~root =
+(* The projecting walk over a document. The document node is the root
+   element's parent; prolog and epilog items are dropped, with the text
+   of partly built elements, since a query that could see them reads the
+   whole document. *)
+let walk ?keep_whitespace ?max_depth ?max_bytes r p sink =
   start ?keep_whitespace ?max_depth ?max_bytes r;
   let doc = Node.document () in
   misc r None;
   root_element r "a root element";
-  ignore (proj_child r p doc root);
+  ignore (proj_child r p sink doc 1);
   misc r None;
   if more r then error r "content after the root element";
   Node.seal doc;
   doc
 
-(* The document node is never built; it holds state 1. *)
-let project ?keep_whitespace ?max_depth ?max_bytes r h =
-  start ?keep_whitespace ?max_depth ?max_bytes r;
-  misc r None;
-  root_element r "a root element";
-  child r h 1;
-  misc r None;
-  if more r then error r "content after the root element"
+let projected ?keep_whitespace ?max_depth ?max_bytes r p =
+  walk ?keep_whitespace ?max_depth ?max_bytes r p None
+
+(* With a sink, nothing is ever attached to the document node. *)
+let project ?keep_whitespace ?max_depth ?max_bytes r p sink =
+  ignore (walk ?keep_whitespace ?max_depth ?max_bytes r p (Some sink))

@@ -5,9 +5,10 @@
     runs are scanned in a tight loop up to the next [<] or [&], names
     are interned straight from the window and only for nodes that are
     built, and line and column are computed only when an error is
-    raised. An element the projection does not build is validated with
-    no interning, no text buffering and no allocation, raising exactly
-    the errors and positions building it would. *)
+    raised. One projecting walk runs a path automaton ({!plan}). An
+    element it does not build is validated with no interning, no text
+    buffering and no allocation, raising exactly the errors and
+    positions building it would. *)
 
 exception Parse_error of { line : int; column : int; message : string }
 
@@ -46,47 +47,45 @@ val document :
 val fragment :
   ?keep_whitespace:bool -> ?max_depth:int -> ?max_bytes:int -> t -> Xq_xdm.Node.t
 
-(** How a projecting read treats each element. [child state stack off len]
+(** The path automaton of a projecting read. [step state stack off len]
     is the state of an element spelled [stack.[off .. off+len)] whose
-    parent has [state]; state 0 is dead (nothing below can match) and is
-    never passed to [child]. An element whose state has a bit of
-    [accept] is a match: it is built with its whole subtree and passed
-    to [on_match] when it opens. When the outermost built element
-    closes, [on_capture] gets its span in source bytes. *)
-type hooks = {
-  child : int -> Bytes.t -> int -> int -> int;
-  accept : int;
-  on_match : Xq_xdm.Node.t -> unit;
-  on_capture : int -> unit;
-}
-
-(** Read a complete document, building only the matches [hooks]
-    selects; the document node (state 1) is never built. *)
-val project :
-  ?keep_whitespace:bool -> ?max_depth:int -> ?max_bytes:int -> t -> hooks -> unit
-
-(** How a projected build treats each element. [step state stack off len]
-    is the state of an element spelled [stack.[off .. off+len)] whose
-    parent has the nonzero [state]. State 0 is dead: the element is
-    validated and dropped. An element with a bit of [whole] is built
-    with its whole subtree. One with a bit of [keep] is built with its
-    attributes, and its content is projected in turn: text, comments
-    and PIs are validated and dropped. Any other live element is built,
-    without attributes, only when an element below it is. *)
+    parent has the nonzero [state]; the document node holds state 1.
+    State 0 is dead: the element is validated and dropped. An element
+    with a bit of [whole] is built with its whole subtree. One with a
+    bit of [keep] is built with its attributes, and its content is
+    projected in turn: text, comments and PIs are validated and
+    dropped. Any other live element is built, without attributes, only
+    when an element below it is. *)
 type plan = {
   step : int -> Bytes.t -> int -> int -> int;
   keep : int;
   whole : int;
 }
 
-(** Read a complete document into a [Document] node (state [root])
-    holding only what [plan] builds, in document order. It raises the
-    errors and positions {!document} raises. *)
+(** Where a scan's matches go. [on_match] gets each element with a bit
+    of [whole] as it opens, the ones nested inside another included;
+    when the outermost one closes, [on_capture] gets its span in source
+    bytes. *)
+type sink = { on_match : Xq_xdm.Node.t -> unit; on_capture : int -> unit }
+
+(** The projecting walk over a complete document, into a [Document]
+    node holding only what [plan] builds, in document order. It raises
+    the errors and positions {!document} raises, as {!project} does. *)
 val projected :
   ?keep_whitespace:bool ->
   ?max_depth:int ->
   ?max_bytes:int ->
   t ->
   plan ->
-  root:int ->
   Xq_xdm.Node.t
+
+(** The projecting walk, to [sink]: only the whole-marked elements and
+    their subtrees are built, never the elements above them. *)
+val project :
+  ?keep_whitespace:bool ->
+  ?max_depth:int ->
+  ?max_bytes:int ->
+  t ->
+  plan ->
+  sink ->
+  unit

@@ -1,19 +1,11 @@
-(* Streaming XML ingestion with projection pushdown: the projection NFA
-   and its capture logic over [Xml_reader]'s walk, which reads the
-   document front to back, builds XDM subtrees only for path matches
-   and validates everything else in place, so the working set is the
-   matched subtrees in flight, not the document.
-
-   The NFA follows the engine's fused path scan (see [Eval.fused_walk]):
-   bit [j] on an element means "this element is in the result of the
-   first [j] steps". A child step grants bit [j+1] when its test
-   matches; a descendant step additionally propagates its own bit down
-   unchanged. Bit [k] (all steps consumed) marks a match root. Matches
-   nested inside a match (e.g. [//d] over [<d><d/></d>]) keep
-   propagating inside the captured subtree and are emitted as their own
-   matches, in document (pre)order, when the outermost capture closes.
-   Name tests compare the raw bytes of the element's spelling, so an
-   element that is not built is never interned. *)
+(* Streaming and projected XML ingestion: a path set compiles to one
+   trie automaton over raw name bytes, so an element that is not built
+   is never interned, and [Xml_reader]'s one projecting walk runs it. A
+   projected load builds a document node; a streamed scan is the
+   projected read of [[(path, Whole)]] whose matches go to a sink, the
+   elements above them never built. Matches nested inside a match (e.g.
+   [//d] over [<d><d/></d>]) reach the sink as they open, and the scan
+   emits them in document (pre)order when the outermost one closes. *)
 
 open Xq_xdm
 
@@ -26,9 +18,6 @@ type test = Any | Name of Xname.t | Prefix of string
 type step = { desc : bool; test : test }
 
 type path = step list
-
-(* Bitmask NFA states need bit [k] to fit in a tagged int. *)
-let max_steps = 60
 
 let step_to_string s =
   (if s.desc then "//" else "/")
@@ -68,56 +57,10 @@ let test_bytes t b off len =
     len > n && Bytes.unsafe_get b (off + n) = ':' && spelled p b off 0
   | Never -> false
 
-(* NFA transition: the mask an element spelled [b.[off .. off+len)]
-   gets from its parent's mask — child steps grant the next bit on a
-   test match, descendant steps also keep their own bit live down the
-   tree. *)
-let child_mask desc tests m b off len =
-  let out = ref 0 in
-  for i = 0 to Array.length tests - 1 do
-    if m land (1 lsl i) <> 0 then begin
-      if Array.unsafe_get desc i then out := !out lor (1 lsl i);
-      if test_bytes (Array.unsafe_get tests i) b off len then
-        out := !out lor (1 lsl (i + 1))
-    end
-  done;
-  !out
-
 (* The whole-subtree cost estimate charged per capture: a fixed ×4
    bytes-to-tree multiplier over the captured span, deterministic so
    spill decisions do not depend on the heap. *)
 let subtree_estimate span = (4 * span) + 128
-
-let scan_reader ?keep_whitespace ?max_depth ?max_bytes ~path ~emit r =
-  if path = [] then invalid_arg "Xml_stream.scan: empty projection path";
-  if List.length path > max_steps then
-    invalid_arg "Xml_stream.scan: projection path too long";
-  let steps = Array.of_list path in
-  let desc = Array.map (fun s -> s.desc) steps in
-  let tests = Array.map (fun s -> byte_test s.test) steps in
-  (* match roots of the open capture, reverse preorder *)
-  let pending = ref [] in
-  let on_capture span =
-    let matches = List.rev !pending in
-    pending := [];
-    (* the first match of a capture carries the subtree's byte estimate *)
-    List.iteri
-      (fun i n -> emit ~bytes:(if i = 0 then subtree_estimate span else 0) n)
-      matches
-  in
-  Xml_reader.project ?keep_whitespace ?max_depth ?max_bytes r
-    {
-      Xml_reader.child = child_mask desc tests;
-      accept = 1 lsl Array.length steps;
-      on_match = (fun n -> pending := n :: !pending);
-      on_capture;
-    }
-
-let scan ?keep_whitespace ?max_depth ?max_bytes ~path ~emit (src : source) =
-  let go = scan_reader ?keep_whitespace ?max_depth ?max_bytes ~path ~emit in
-  match src with
-  | `String s -> go (Xml_reader.of_string ~faults:true s)
-  | `File p -> Xml_reader.with_file ~faults:true p go
 
 (* --- projected loads ------------------------------------------------------ *)
 
@@ -135,14 +78,18 @@ let path_set_to_string = function
            ^ match m with Whole -> " (whole)" | Navigate -> "")
          ps)
 
+(* --- the automaton ---------------------------------------------------------- *)
+
+type automaton = Xml_reader.plan
+
 (* The path set as a trie: node 0 is the document, node [c > 0] the
    step that ends one path prefix below its parent node. An element's
    state has bit [c] when the element is in the result of node [c]'s
    prefix, and one more bit per node with a descendant step below it,
-   kept down the tree while some ancestor is at that node. [None] when
-   the root is marked whole or the bits do not fit in an int: the
-   caller then builds the whole document. *)
-let plan_of (ps : path_set) =
+   kept down the tree while some ancestor is at that node. A path set
+   whose root is marked whole, or whose bits do not fit in an int, does
+   not compile: its query reads the whole document. *)
+let compile (ps : path_set) =
   (* node ids by reversed prefix; [edges] holds (node, parent, step) *)
   let ids = Hashtbl.create 16 and edges = ref [] and n = ref 1 in
   Hashtbl.replace ids [] 0;
@@ -173,7 +120,12 @@ let plan_of (ps : path_set) =
         incr bits
       end)
     !edges;
-  if List.mem 0 wholes || !bits > fits then None
+  if List.mem 0 wholes then Error "the document node is read whole"
+  else if !bits > fits then
+    Error
+      (Printf.sprintf
+         "the path set needs %d automaton bits, more than the %d an int holds"
+         !bits fits)
   else begin
     let edges = Array.of_list !edges in
     let reach =
@@ -195,7 +147,7 @@ let plan_of (ps : path_set) =
       done;
       !out
     in
-    Some
+    Ok
       {
         Xml_reader.step;
         keep = Array.fold_left ( lor ) 0 bit;
@@ -203,17 +155,53 @@ let plan_of (ps : path_set) =
       }
   end
 
-let load_reader ?keep_whitespace ?max_depth ?max_bytes ~paths r =
-  match plan_of paths with
-  | Some plan ->
-    Xml_reader.projected ?keep_whitespace ?max_depth ?max_bytes r plan ~root:1
-  | None -> Xml_reader.document ?keep_whitespace ?max_depth ?max_bytes r
+(* --- projected loads ------------------------------------------------------- *)
 
-let load ?keep_whitespace ?max_depth ?max_bytes ~paths (src : source) =
-  let go = load_reader ?keep_whitespace ?max_depth ?max_bytes ~paths in
+let read_tree ?keep_whitespace ?max_depth ?max_bytes compiled r =
+  match compiled with
+  | Ok plan -> Xml_reader.projected ?keep_whitespace ?max_depth ?max_bytes r plan
+  | Error _ -> Xml_reader.document ?keep_whitespace ?max_depth ?max_bytes r
+
+let with_source ~faults (src : source) go =
   match src with
-  | `String s -> go (Xml_reader.of_string s)
-  | `File p -> Xml_reader.with_file p go
+  | `String s -> go (Xml_reader.of_string ~faults s)
+  | `File p -> Xml_reader.with_file ~faults p go
+
+let load_reader ?keep_whitespace ?max_depth ?max_bytes ~paths r =
+  read_tree ?keep_whitespace ?max_depth ?max_bytes (compile paths) r
+
+let load ?keep_whitespace ?max_depth ?max_bytes ~paths src =
+  with_source ~faults:false src
+    (load_reader ?keep_whitespace ?max_depth ?max_bytes ~paths)
+
+let load_compiled ?keep_whitespace ?max_depth ?max_bytes automaton src =
+  with_source ~faults:false src
+    (read_tree ?keep_whitespace ?max_depth ?max_bytes (Ok automaton))
+
+(* --- streamed scans -------------------------------------------------------- *)
+
+let scan_reader ?keep_whitespace ?max_depth ?max_bytes ~path ~emit r =
+  let plan =
+    match compile [ (path, Whole) ] with
+    | Ok plan when path <> [] -> plan
+    | _ -> invalid_arg "Xml_stream.scan: empty or too long a projection path"
+  in
+  (* match roots of the open capture, reverse preorder *)
+  let pending = ref [] in
+  let on_capture span =
+    let matches = List.rev !pending in
+    pending := [];
+    (* the first match of a capture carries the subtree's byte estimate *)
+    List.iteri
+      (fun i n -> emit ~bytes:(if i = 0 then subtree_estimate span else 0) n)
+      matches
+  in
+  Xml_reader.project ?keep_whitespace ?max_depth ?max_bytes r plan
+    { Xml_reader.on_match = (fun n -> pending := n :: !pending); on_capture }
+
+let scan ?keep_whitespace ?max_depth ?max_bytes ~path ~emit src =
+  with_source ~faults:true src
+    (scan_reader ?keep_whitespace ?max_depth ?max_bytes ~path ~emit)
 
 (* Collect all matches of [path] — the test harness's entry point. *)
 let collect ?keep_whitespace ?max_depth ?max_bytes ~path src =

@@ -1,13 +1,12 @@
 (** Streaming and projected XML ingestion.
 
-    A pull-based, chunked scan of a document that builds XDM subtrees
-    {e only} for elements matched by a projection path and discards
-    everything else at parse time, so memory is bounded by the matched
-    subtrees in flight rather than the document size; and a projected
-    load ({!load}) that builds one tree holding only the paths of a
-    query's path set. This module holds the projection automata and the
-    scan's capture logic; the reading is {!Xml_reader}'s, the same
-    reader {!Xml_parse} uses.
+    One automaton ({!compile}) and {!Xml_reader}'s one projecting walk
+    serve both. A projected load ({!load}) builds one tree holding only
+    the paths of a query's path set. A streamed scan ({!scan}) is the
+    projected read of [[(path, Whole)]] whose matches go to a sink: it
+    builds XDM subtrees {e only} for them, never the elements above, so
+    memory is bounded by the matched subtrees in flight rather than
+    the document size.
 
     An element that is not built is validated without interning (name
     tests and end tags compare raw bytes), without buffering its text
@@ -21,7 +20,7 @@
 
     When [XQ_FAULTS] is active, the read-I/O fault stream injects
     short reads (benign), EIO and torn reads (both [XQENG0008]) and
-    truncations (a clean parse error) at chunk-refill boundaries —
+    truncations (a clean parse error) at a scan's chunk refills —
     failures always surface as structured errors, never partial data. *)
 
 open Xq_xdm
@@ -38,10 +37,6 @@ type step = { desc : bool; test : test }
 (** A root-anchored projection path, outermost step first. *)
 type path = step list
 
-(** Paths longer than this are rejected (the NFA packs one bit per
-    step into an [int] mask). *)
-val max_steps : int
-
 (** Render a path in XPath notation, e.g. ["/orders//item"]. *)
 val path_to_string : path -> string
 
@@ -53,7 +48,8 @@ val path_to_string : path -> string
     execution accountable. Matches are emitted as soon as their
     outermost enclosing match closes, while parsing continues.
 
-    Raises {!Xml_parse.Parse_error} on malformed input,
+    Raises [Invalid_argument] when [path] is empty or [[(path, Whole)]]
+    does not {!compile}, {!Xml_parse.Parse_error} on malformed input,
     [Xerror.Error (XQENG0005, _)] on tripped governed limits and
     [Xerror.Error (XQENG0008, _)] on (injected) read-I/O failures.
     Raises [Sys_error] if a [`File] source cannot be opened. *)
@@ -81,20 +77,39 @@ type path_set = (path * mark) list
 (** E.g. ["//order/lineitem, //order/lineitem/shipmode (whole)"]. *)
 val path_set_to_string : path_set -> string
 
+(** A compiled path set. *)
+type automaton
+
+(** [compile paths] is the trie automaton of [paths]: one state bit per
+    trie node, one more per node with a descendant step below it. It
+    fails, with the reason, when the root is [Whole] or the bits do not
+    fit in an [int]; a query with such a path set reads the whole
+    document. A streamed scan of [path] runs [compile [(path, Whole)]],
+    so a path it compiles is a path that scans. *)
+val compile : path_set -> (automaton, string) result
+
 (** [load ~paths src] reads [src] into a [Document] node that holds
     only what a query navigating [paths] can see: every element at a
     path (a prefix of one included) with its attributes, the whole
     subtree of every element at a [Whole] path, and the ancestors of
     both, in document order. Everything else is validated and
     dropped, with the errors and positions {!Xml_parse.parse_file}
-    raises; like it, the load draws no read faults. A path set whose
-    root is [Whole], or too large for the state bits, loads the whole
-    document. *)
+    raises; like it, the load draws no read faults. A path set that
+    does not {!compile} loads the whole document. *)
 val load :
   ?keep_whitespace:bool ->
   ?max_depth:int ->
   ?max_bytes:int ->
   paths:path_set ->
+  source ->
+  Node.t
+
+(** [load] of an already compiled path set. *)
+val load_compiled :
+  ?keep_whitespace:bool ->
+  ?max_depth:int ->
+  ?max_bytes:int ->
+  automaton ->
   source ->
   Node.t
 

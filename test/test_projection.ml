@@ -272,6 +272,66 @@ let context_functions () =
     (run { knobs with Pipeline.k_stream = Some false })
     (run knobs)
 
+(* A path set needing more automaton bits than an int holds does not
+   compile: the load is the whole document, and EXPLAIN says so. *)
+let wide_path_set () =
+  let n = 70 in
+  let doc =
+    "<r>"
+    ^ String.concat "" (List.init n (fun i -> Printf.sprintf "<a%d>%d</a%d>" i i i))
+    ^ "</r>"
+  in
+  let query k =
+    String.concat ", " (List.init k (fun i -> Printf.sprintf "string(/r/a%d)" i))
+  in
+  let config = Pipeline.resolve knobs in
+  let load k = fst (Pipeline.load ~config (lazy (checked (query k))) (`String doc)) in
+  check_bool "ten paths project" true
+    (contains (Pipeline.load_to_string (load 10)) "projected: /r, /r/a0 (whole)");
+  check_string "seventy paths load the whole document"
+    "whole document: the path set needs 72 automaton bits, more than the 62 \
+     an int holds"
+    (Pipeline.load_to_string (load n));
+  let run knobs =
+    (Pipeline.run ~knobs ~source:(query n) ~stream_source:(`String doc) ())
+      .Pipeline.r_output
+  in
+  check_string "default = whole"
+    (run { knobs with Pipeline.k_stream = Some false })
+    (run knobs)
+
+(* The leading path streams exactly when the scan's automaton compiles
+   it: a [//a] path of [k] steps needs [2k + 1] bits. *)
+let path_limit () =
+  let doc =
+    String.concat "" (List.init 45 (fun _ -> "<a>"))
+    ^ "x"
+    ^ String.concat "" (List.init 45 (fun _ -> "</a>"))
+  in
+  let query k =
+    Printf.sprintf "for $x in %s return count($x//a)"
+      (String.concat "" (List.init k (fun _ -> "//a")))
+  in
+  let run knobs k =
+    (Pipeline.run ~knobs ~source:(query k) ~stream_source:(`String doc) ())
+      .Pipeline.r_output
+  in
+  List.iter
+    (fun (k, streams) ->
+      let verdict = Projection.to_string (Projection.analyze (checked (query k))) in
+      check_bool
+        (Printf.sprintf "%d steps: %s" k verdict)
+        streams
+        (String.starts_with ~prefix:"streamable:" verdict);
+      if not streams then
+        check_bool "a materialize reason" true
+          (String.starts_with ~prefix:"materialize:" verdict);
+      check_string
+        (Printf.sprintf "%d steps: default = whole" k)
+        (run { knobs with Pipeline.k_stream = Some false } k)
+        (run knobs k))
+    [ (20, true); (40, false) ]
+
 let suites =
   [
     ( "projection",
@@ -282,6 +342,8 @@ let suites =
         test "projected tree size" size;
         test "the pipeline's load" pipeline_load;
         test "context functions do not stream" context_functions;
+        test "a path set too wide to compile loads whole" wide_path_set;
+        test "the leading path limit is the automaton's" path_limit;
       ]
       @ List.map
           (fun (name, queries) -> test ("fallback: " ^ name) (same name queries))

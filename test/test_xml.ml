@@ -554,7 +554,7 @@ let leaf_tests =
    data. The fronts: [parse], [parse_file], the reader under 1- and
    7-byte fills (refill seams everywhere), and the streamed scan with
    the root captured (every element built), with a dead path (every
-   element skipped without the NFA) and with a live path that matches
+   element skipped in dead state 0) and with a live path that matches
    nothing (every element name-tested, none built), and two projected
    loads, over a string and under 7-byte fills. *)
 
@@ -747,7 +747,7 @@ let seam_tests =
   [
     test "skipped elements allocate nothing" (fun () ->
         (* thousands of elements, none built: only the reader's own
-           setup allocates, dead NFA state or live *)
+           setup allocates, dead automaton state or live *)
         let xml = orders_xml () in
         List.iter
           (fun (name, path) ->
@@ -793,6 +793,95 @@ let seam_tests =
           (seam_docs ()));
   ]
 
+(* --- the path automaton ------------------------------------------------------ *)
+
+(* Seeded random paths of 1–6 child or descendant steps, with name, [*]
+   and prefix tests drawn from a document's spellings. Most follow the
+   ancestor chain of a random element (so they match something), with
+   some steps widened to [*], a prefix test or a descendant step; the
+   rest draw every test at random. *)
+let random_paths rng doc n =
+  let elements = List.filter Node.is_element (Node.descendants doc) in
+  let spelling e = Xname.to_string (Option.get (Node.name e)) in
+  let spellings = Array.of_list (List.map spelling elements) in
+  let prefix s =
+    match String.index_opt s ':' with Some i -> String.sub s 0 i | None -> "p"
+  in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let test s =
+    match Random.State.int rng 4 with
+    | 0 -> Stream.Any
+    | 1 -> Stream.Prefix (prefix s)
+    | _ -> Stream.Name (Xname.of_string s)
+  in
+  let rec chain e acc =
+    match Node.parent e with
+    | Some p when Node.is_element p -> chain p (spelling e :: acc)
+    | _ -> spelling e :: acc
+  in
+  let along e =
+    let chain = Array.of_list (chain e []) in
+    let len = Array.length chain in
+    let k = 1 + Random.State.int rng (min 6 len) in
+    (* [k] levels of the chain, the last one always among them *)
+    let levels =
+      List.sort_uniq compare
+        ((len - 1) :: List.init (k - 1) (fun _ -> Random.State.int rng len))
+    in
+    let _, steps =
+      List.fold_left
+        (fun (prev, acc) i ->
+          let desc = i > prev + 1 || Random.State.int rng 4 = 0 in
+          (i, { Stream.desc; test = test chain.(i) } :: acc))
+        (-1, []) levels
+    in
+    List.rev steps
+  in
+  List.init n (fun _ ->
+      if Random.State.int rng 4 = 0 then
+        List.init
+          (1 + Random.State.int rng 6)
+          (fun _ -> { Stream.desc = Random.State.bool rng; test = test (pick spellings) })
+      else along (List.nth elements (Random.State.int rng (List.length elements))))
+
+let automaton_tests =
+  [
+    test "scan = whole-tree path = projected-load path" (fun () ->
+        let rng = Random.State.make [| 23 |] in
+        let sequence nodes = Xq_xml.Serialize.sequence (Xseq.of_nodes nodes) in
+        let eval doc path =
+          Xq_xml.Serialize.sequence
+            (Xq_algebra.Exec.eval_query ~check:false ~context_node:doc
+               (Xq_lang.Parser.parse_query (Stream.path_to_string path)))
+        in
+        List.iter
+          (fun (name, xml) ->
+            let whole = parse xml in
+            List.iter
+              (fun path ->
+                let label front =
+                  Printf.sprintf "%s %s: %s" name (Stream.path_to_string path) front
+                in
+                let expected = eval whole path in
+                check_string (label "scan") expected
+                  (sequence (Stream.collect ~path (`String xml)));
+                List.iter
+                  (fun step ->
+                    let acc = ref [] in
+                    Stream.scan_reader ~path
+                      ~emit:(fun ~bytes:_ n -> acc := n :: !acc)
+                      (fill_reader step xml);
+                    check_string
+                      (label (Printf.sprintf "scan fill %d" step))
+                      expected
+                      (sequence (List.rev !acc)))
+                  [ 1; 7 ];
+                check_string (label "projected load") expected
+                  (eval (Stream.load ~paths:[ (path, Stream.Whole) ] (`String xml)) path))
+              (random_paths rng whole 20))
+          (seam_docs ()));
+  ]
+
 let suites =
   [
     ("xml.parser", parser_tests);
@@ -800,6 +889,7 @@ let suites =
     ("xml.hostile", hostile_tests);
     ("xml.hostile-stream", hostile_stream_tests);
     ("xml.refill-seams", seam_tests);
+    ("xml.automaton", automaton_tests);
     ("xml.serializer", serializer_tests);
     ("xml.builder", builder_tests);
     ("xml.layout", layout_tests);

@@ -3,17 +3,19 @@
    A [t] carries a wall-clock deadline, a group-cardinality budget, an
    approximate memory budget and a cooperative cancellation flag. Hot
    loops everywhere in the engine call the zero-argument [tick], which
-   is a single atomic load (plus a branch) when no governor is
+   is a domain-local load (plus a branch) when no governor is
    installed, so the default configuration pays essentially nothing.
-   When a governor is installed, a tick bumps a per-domain counter, and
-   every [stride]-th tick reads the cancellation flags and runs the
-   expensive checks (clock read, fault draw; the [Gc.quick_stat] memory
-   estimate every [mem_stride]-th time) — a limit is therefore detected
-   within one stride of ticks of being crossed.
+   When a governor is installed, a tick bumps the calling domain's
+   install counter, and every [stride]-th tick reads the cancellation
+   flags and runs the expensive checks (clock read, fault draw; the
+   [Gc.quick_stat] memory estimate every [mem_stride]-th time) — a
+   limit is therefore detected within one stride of ticks of being
+   crossed.
 
-   All state is atomics: the installed governor is shared by every
-   domain of the [Par] pool, which is what makes cancellation reach
-   sibling tasks.
+   A governor's budgets and flags are atomics shared by every domain
+   its query runs on, which is what makes cancellation reach sibling
+   tasks; each of those domains reaches it through an install of its
+   own (tick count, pressure callbacks), see [with_governor].
 
    Fault injection ([XQ_FAULTS=<seed>:<rate>], or [set_faults]) drives
    two deterministic splitmix64 streams: one consulted by [Par] before
@@ -283,78 +285,39 @@ let crash_fault () =
 
 (* --- the installed governor --------------------------------------------- *)
 
-(* Two installation scopes. [active] is the historical process-wide
-   slot: one query at a time, shared by every domain, which is what the
-   CLI and the tests use. [scoped_key] is a per-domain overlay for the
-   query server, where several queries run concurrently on pool
-   worker domains and each must tick against its own budgets; a scoped
-   governor shadows the process-wide one on its domain only, and
-   [Par.run_tasks] re-installs the caller's scoped governor on every
-   task it runs so a query's whole fork-join tree shares one budget.
-   [scoped_installs] gates the DLS lookup: when no scoped governor
-   exists anywhere (every non-server process), the hot path stays the
-   single atomic load it has always been.
+(* One installation: a domain-local slot holding this domain's part of
+   the installed query — the governor (whose atomics every domain of
+   the query shares, which is what makes cancellation and sibling
+   aborts reach every task), this domain's tick count since the
+   install, and its stack of pressure callbacks. [with_governor] pushes
+   a fresh record and restores the previous one, so a new install
+   starts its stride phase at 0 and fault draws are deterministic per
+   single-domain run. [Par.run_tasks] gives every task that runs on
+   another domain a fresh install of the forking domain's governor.
 
-   Scoped installation is per-*domain*, not per-thread: sys-threads of
-   one domain share its DLS slot, so a server must run each scoped
-   query on a domain of its own for the query's duration — a pool
-   worker — or serialize. *)
-let active : t option Atomic.t = Atomic.make None
+   The slot is per-domain, not per-thread: sys-threads of one domain
+   share it, so concurrent queries each need a domain of their own for
+   their duration — the server runs each on a pool worker — or must
+   serialize. *)
+type install = {
+  gov : t;
+  mutable count : int;  (* ticks since the last memory check *)
+  mutable pressure : (unit -> unit) list;  (* innermost first *)
+  mutable relieving : bool;  (* a pressure callback is running *)
+}
 
-let scoped_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let scoped_installs = Atomic.make 0
+let key : install option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let scoped_current () =
-  if Atomic.get scoped_installs > 0 then Domain.DLS.get scoped_key else None
-
-(* The governor the calling domain executes under: its scoped overlay
-   if it has one, else the process-wide slot. *)
-let current_gov () =
-  match scoped_current () with
-  | Some _ as s -> s
-  | None -> Atomic.get active
-
-(* Per-domain tick counters. The hot path must not do an atomic RMW on
-   a shared cache line (sorts tick from inside their comparators, and
-   under [Par] several domains tick at once), so each domain counts in
-   its own cache-line-padded slot and only reads the shared flags — and
-   runs the expensive checks — once per [stride]. Slots are indexed by
-   domain id modulo the table size; a collision between two live domains
-   merely skews the stride phase, it cannot corrupt anything. The
-   calling domain's counter is reset whenever a governor is installed so
-   that fault draws are deterministic per single-domain run. *)
-let n_slots = 128
-let slot_pad = 8 (* ints: one 64-byte cache line per slot *)
-let counters = Array.make (n_slots * slot_pad) 0
-let slot () = ((Domain.self () :> int) land (n_slots - 1)) * slot_pad
-let reset_local_ticks () = Array.unsafe_set counters (slot ()) 0
-
-let install g =
-  Atomic.set active (Some g);
-  reset_local_ticks ()
-
-let uninstall () = Atomic.set active None
-let current () = current_gov ()
+let current () =
+  match Domain.DLS.get key with Some i -> Some i.gov | None -> None
 
 let with_governor g f =
-  let prev = Atomic.get active in
-  Atomic.set active (Some g);
-  reset_local_ticks ();
-  Fun.protect ~finally:(fun () -> Atomic.set active prev) f
+  let prev = Domain.DLS.get key in
+  Domain.DLS.set key
+    (Some { gov = g; count = 0; pressure = []; relieving = false });
+  Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
 
-let with_scoped_governor g f =
-  let prev = Domain.DLS.get scoped_key in
-  Domain.DLS.set scoped_key (Some g);
-  Atomic.incr scoped_installs;
-  reset_local_ticks ();
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr scoped_installs;
-      Domain.DLS.set scoped_key prev)
-    f
-
-let with_scoped_opt g f =
-  match g with None -> f () | Some g -> with_scoped_governor g f
+let with_scoped_governor = with_governor
 
 (* --- trips --------------------------------------------------------------- *)
 
@@ -366,73 +329,40 @@ let cancel g = Atomic.set g.cancelled true
 let cancelled g = Atomic.get g.cancelled
 
 let begin_abort () =
-  match current_gov () with
-  | None -> ()
-  | Some g -> Atomic.incr g.aborts
+  match Domain.DLS.get key with None -> () | Some i -> Atomic.incr i.gov.aborts
 
 let end_abort () =
-  match current_gov () with
-  | None -> ()
-  | Some g -> Atomic.decr g.aborts
+  match Domain.DLS.get key with None -> () | Some i -> Atomic.decr i.gov.aborts
 
 let pending_aborts g = Atomic.get g.aborts
 
 (* --- memory pressure ------------------------------------------------------ *)
 
-(* Per-domain pressure callbacks. A grouping operator registers a
-   callback for the duration of its build; when this domain's charges —
-   or the whole-process memory estimate, checked on the slow tick path —
-   cross the soft watermark the callback runs (it spills and uncharges)
-   before the hard budget is checked. Slots are indexed like the tick
-   counters, but each slot stores the registering domain's id next to
-   the callback and [fire_pressure] runs it only on that very domain: a
-   callback mutates its owner's hash tables and spill files, so running
-   it from a colliding domain (ids equal mod [n_slots]) would be an
-   unsynchronized cross-domain race. A collision instead makes the
-   dispossessed domain skip its pressure events — always safe, the hard
-   budget check still runs. The [in_pressure] guard stops a callback's
-   own charges from re-entering it. *)
-let pressure_cbs : (int * (unit -> unit)) option Atomic.t array =
-  Array.init n_slots (fun _ -> Atomic.make None)
-
-let in_pressure = Array.init n_slots (fun _ -> Atomic.make false)
-let cb_slot () = (Domain.self () :> int) land (n_slots - 1)
-
+(* A grouping operator pushes a pressure callback on its domain's
+   install for the duration of its build; when the query's charges —
+   or its memory estimate, checked on the slow tick path — cross the
+   soft watermark, the innermost callback runs (it spills and
+   uncharges) before the hard budget is checked. A callback mutates
+   its owner's hash tables and spill files, so it only ever runs on the
+   domain that pushed it: other domains of the query have installs of
+   their own. [relieving] stops a callback's own charges from
+   re-entering it. *)
 let with_pressure_callback f body =
-  let i = cb_slot () in
-  let me = (Domain.self () :> int) in
-  let prev = Atomic.get pressure_cbs.(i) in
-  (* Only this domain's own shadowed registration is ever restored:
-     re-installing a colliding domain's entry after that domain's scope
-     may have exited would resurrect a dead callback. *)
-  let restore =
-    match prev with Some (id, _) when id = me -> prev | Some _ | None -> None
-  in
-  Atomic.set pressure_cbs.(i) (Some (me, f));
-  Fun.protect
-    ~finally:(fun () ->
-      (* restore only while we still own the slot; a colliding domain
-         that registered after us keeps its callback *)
-      match Atomic.get pressure_cbs.(i) with
-      | Some (id, _) when id = me -> Atomic.set pressure_cbs.(i) restore
-      | Some _ | None -> ())
-    body
+  match Domain.DLS.get key with
+  | None -> body ()
+  | Some i ->
+    let prev = i.pressure in
+    i.pressure <- f :: prev;
+    Fun.protect ~finally:(fun () -> i.pressure <- prev) body
 
-(* Run the current domain's callback, if it still owns its slot (the
-   caller has already established pressure). *)
-let fire_pressure () =
-  let i = cb_slot () in
-  let me = (Domain.self () :> int) in
-  match Atomic.get pressure_cbs.(i) with
-  | Some (id, f) when id = me ->
-    if not (Atomic.get in_pressure.(i)) then begin
-      Atomic.set in_pressure.(i) true;
-      Fun.protect ~finally:(fun () -> Atomic.set in_pressure.(i) false) f
-    end
-  | Some _ | None -> ()
-
-let maybe_pressure g =
-  if Atomic.get g.charged > g.spill_watermark then fire_pressure ()
+(* Run the innermost callback (the caller has already established
+   pressure). *)
+let fire_pressure i =
+  match i.pressure with
+  | f :: _ when not i.relieving ->
+    i.relieving <- true;
+    Fun.protect ~finally:(fun () -> i.relieving <- false) f
+  | _ -> ()
 
 (* --- the check itself ---------------------------------------------------- *)
 
@@ -446,7 +376,8 @@ let rec raise_peak g est =
   if est > peak && not (Atomic.compare_and_set g.peak_mem peak est) then
     raise_peak g est
 
-let slow_check g ~mem =
+let slow_check i ~mem =
+  let g = i.gov in
   if g.deadline < infinity && now () > g.deadline then
     trip g Timeout Xerror.XQENG0001 "wall-clock deadline exceeded";
   if mem && (g.max_mem_bytes < max_int || g.spill_watermark < max_int) then begin
@@ -463,7 +394,7 @@ let slow_check g ~mem =
        report. *)
     let est =
       if est > g.spill_watermark - (g.spill_watermark / 8) then begin
-        fire_pressure ();
+        fire_pressure i;
         mem_estimate g
       end
       else est
@@ -482,24 +413,23 @@ let slow_check g ~mem =
          f.f_seed)
   | Some _ | None -> ()
 
-let check g =
-  let i = slot () in
-  let c = Array.unsafe_get counters i + 1 in
-  Array.unsafe_set counters i c;
+let check i =
+  let c = i.count + 1 in
+  i.count <- c;
   if c land (stride - 1) = 0 then begin
+    let g = i.gov in
     if Atomic.get g.cancelled then
       trip g Cancelled Xerror.XQENG0004 "query cancelled";
     if Atomic.get g.aborts > 0 then
       trip g Cancelled Xerror.XQENG0004
         "cancelled: a sibling parallel task failed";
     let mem = c >= stride * mem_stride in
-    if mem then Array.unsafe_set counters i 0;
+    if mem then i.count <- 0;
     ignore (Atomic.fetch_and_add g.ticks stride);
-    slow_check g ~mem
+    slow_check i ~mem
   end
 
-let tick () =
-  match current_gov () with None -> () | Some g -> check g
+let tick () = match Domain.DLS.get key with None -> () | Some i -> check i
 
 (* --- budget feeds -------------------------------------------------------- *)
 
@@ -511,13 +441,14 @@ let note_groups g n =
          g.max_groups)
 
 let count_groups n =
-  match current_gov () with None -> () | Some g -> note_groups g n
+  match Domain.DLS.get key with None -> () | Some i -> note_groups i.gov n
 
 (* --- budget feeds (memory) ------------------------------------------------ *)
 
-let note_charge g n =
+let note_charge i n =
+  let g = i.gov in
   let c = Atomic.fetch_and_add g.charged n + n in
-  if c > g.spill_watermark then maybe_pressure g;
+  if c > g.spill_watermark then fire_pressure i;
   (* re-read: a pressure callback uncharges what it spilled *)
   let c = if c > g.spill_watermark then Atomic.get g.charged else c in
   if c > g.max_mem_bytes then
@@ -527,10 +458,10 @@ let note_charge g n =
          g.max_mem_bytes)
 
 let charge_bytes n =
-  match current_gov () with None -> () | Some g -> note_charge g n
+  match Domain.DLS.get key with None -> () | Some i -> note_charge i n
 
 let uncharge_bytes n =
-  match current_gov () with
+  match current () with
   | None -> ()
   | Some g -> ignore (Atomic.fetch_and_add g.charged (-n))
 
@@ -560,22 +491,22 @@ let pressure_on g =
   g.spill_watermark < max_int && mem_estimate g > g.spill_watermark
 
 let spill_armed () =
-  match current_gov () with
+  match current () with
   | None -> false
   | Some g -> g.spill_watermark < max_int
 
 (* The installed soft watermark in bytes ([max_int] when off); spill
    paths size their replay/repartition thresholds from it. *)
 let spill_watermark () =
-  match current_gov () with None -> max_int | Some g -> g.spill_watermark
+  match current () with None -> max_int | Some g -> g.spill_watermark
 
 let under_pressure () =
-  match current_gov () with
+  match current () with
   | None -> false
   | Some g -> Atomic.get g.charged > g.spill_watermark
 
 let note_spill ~bytes ~files ~repartitions =
-  match current_gov () with
+  match current () with
   | None -> ()
   | Some g ->
     if bytes <> 0 then ignore (Atomic.fetch_and_add g.spilled_bytes bytes);
@@ -587,7 +518,7 @@ let note_spill ~bytes ~files ~repartitions =
    XQENG0006. Used by [Spill] for real I/O errors and injected faults
    alike, so both fail closed through the same path. *)
 let spill_trip msg =
-  (match current_gov () with
+  (match current () with
    | Some g -> Atomic.incr g.trips.(kind_index SpillIo)
    | None -> ());
   Xerror.fail Xerror.XQENG0006 msg
@@ -595,12 +526,12 @@ let spill_trip msg =
 (* --- input limits (XML parser) ------------------------------------------- *)
 
 let input_limits () =
-  match current_gov () with
+  match current () with
   | None -> (None, None)
   | Some g -> (g.max_depth, g.max_input_bytes)
 
 let input_trip msg =
-  (match current_gov () with
+  (match current () with
    | Some g -> Atomic.incr g.trips.(kind_index Input)
    | None -> ());
   Xerror.fail Xerror.XQENG0005 msg
@@ -609,7 +540,7 @@ let input_trip msg =
    XQENG0008. Used by the streaming XML reader for real read errors and
    injected faults alike, mirroring [spill_trip]. *)
 let read_trip msg =
-  (match current_gov () with
+  (match current () with
    | Some g -> Atomic.incr g.trips.(kind_index ReadIo)
    | None -> ());
   Xerror.fail Xerror.XQENG0008 msg

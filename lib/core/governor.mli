@@ -2,10 +2,10 @@
     memory budgets, cooperative cancellation, and the seeded
     fault-injection hook used by the robustness test suites.
 
-    The engine's hot loops call {!tick}, which is a single atomic load
+    The engine's hot loops call {!tick}, which is a domain-local load
     when no governor is installed. Install one with {!with_governor}
     (or build one from CLI flags / environment with {!of_limits});
-    while installed, each tick bumps a cache-line-padded per-domain
+    while installed, each tick bumps the calling domain's install
     counter, and every 64th tick reads the cancellation flags and runs
     the expensive checks (deadline, fault draw, and — less often — the
     Gc memory estimate), so a crossed limit is detected within one
@@ -78,51 +78,32 @@ val rebaseline : t -> unit
 
 (** {1 Installation} *)
 
-(** [with_governor g f] installs [g] as the process-wide active
-    governor for the duration of [f], restoring the previous one on
-    exit (normal or exceptional). The active governor is shared by all
-    domains, which is what lets a trip in one worker cancel its
-    siblings. *)
+(** [with_governor g f] installs [g] on the {e calling domain} for the
+    duration of [f], restoring the previous install on exit (normal or
+    exceptional). An install is this domain's part of the query: [g]
+    itself, a tick count starting at 0, and a stack of pressure
+    callbacks. [Par.run_tasks] carries it across a fork: a task that
+    runs on the forking domain keeps that domain's install, a task on
+    another domain gets a fresh install of the same [g], so the query's
+    whole fork-join tree ticks, charges and cancels against one
+    governor. Installs are per-domain, not per-thread: sys-threads
+    sharing a domain share its install, so concurrent queries each need
+    a domain of their own (the server runs each on a pool worker) or
+    must serialize. *)
 val with_governor : t -> (unit -> 'a) -> 'a
 
-val install : t -> unit
-val uninstall : unit -> unit
-
-(** The governor the calling domain currently executes under: its
-    scoped overlay if one is installed (see {!with_scoped_governor}),
-    else the process-wide governor. *)
-val current : unit -> t option
-
-(** [with_scoped_governor g f] installs [g] for the duration of [f] on
-    the {e calling domain only}, shadowing any process-wide governor
-    there. This is the query server's multiplexing primitive: each
-    concurrent query runs on a pool worker domain under its own scoped
-    governor, so budgets, deadlines and cancellation stay per-query
-    while other domains (and other queries) are untouched.
-    [Par.run_tasks] re-installs the caller's scoped governor on every
-    domain it spawns, so a scoped query's fork-join tree shares one
-    budget. Scoping is per-domain, not per-thread: sys-threads sharing
-    a domain share its slot, so callers must give each scoped query a
-    dedicated domain (or serialize). *)
+(** The same as {!with_governor}; kept for existing callers. *)
 val with_scoped_governor : t -> (unit -> 'a) -> 'a
 
-(** [with_scoped_opt (Some g) f] is [with_scoped_governor g f];
-    [with_scoped_opt None f] is [f ()]. *)
-val with_scoped_opt : t option -> (unit -> 'a) -> 'a
-
-(** The calling domain's scoped governor, if any — what [Par] captures
-    at fork time. *)
-val scoped_current : unit -> t option
+(** The governor installed on the calling domain, if any. *)
+val current : unit -> t option
 
 (** {1 Tick points} *)
 
-(** The cheap check called from hot loops. No-op (one atomic load) when
-    no governor is installed. May raise [Xerror.Error] with an
-    [XQENG*] code. *)
+(** The cheap check called from hot loops: a domain-local load and,
+    when a governor is installed, a counter increment. May raise
+    [Xerror.Error] with an [XQENG*] code. *)
 val tick : unit -> unit
-
-(** [check g] is {!tick} against an explicit governor. *)
-val check : t -> unit
 
 (** [count_groups n] records [n] newly created groups against the
     installed governor's cardinality budget; raises [XQENG0003] when
@@ -132,8 +113,8 @@ val count_groups : int -> unit
 (** [charge_bytes n] counts [n] materialized bytes (canonical keys,
     group cells) against the memory budget, checking it immediately;
     raises [XQENG0002] on exhaustion. When the running total crosses
-    the soft spill watermark, the current domain's pressure callback
-    (see {!with_pressure_callback}) runs first, and the hard budget is
+    the soft spill watermark, the calling domain's innermost pressure
+    callback (see {!with_pressure_callback}) runs first, and the hard budget is
     re-checked against whatever the callback left charged. No-op when
     uninstalled. *)
 val charge_bytes : int -> unit
@@ -166,15 +147,14 @@ val pressure_on : t -> bool
 
 (** {1 Memory pressure and spilling} *)
 
-(** [with_pressure_callback f body] registers [f] as the current
-    domain's pressure callback for the duration of [body]: whenever a
-    {!charge_bytes} on this domain pushes the counted total past the
-    soft watermark, [f] runs (outside any lock, re-entrancy guarded)
-    and is expected to spill state and {!uncharge_bytes} it. Nested
-    registrations on one domain shadow and restore. [f] only ever runs
-    on the registering domain; if two live domains collide in the slot
-    table (ids equal mod its size) the dispossessed one skips its
-    pressure events — safe, since the hard budget check still runs. *)
+(** [with_pressure_callback f body] pushes [f] on the calling domain's
+    install for the duration of [body]: whenever a {!charge_bytes} on
+    this domain pushes the counted total past the soft watermark (or a
+    slow tick finds the memory estimate near it), the innermost
+    callback runs (outside any lock, re-entrancy guarded) and is
+    expected to spill state and {!uncharge_bytes} it. [f] only ever
+    runs on the pushing domain. With no governor installed, [body]
+    simply runs: there is no watermark to cross. *)
 val with_pressure_callback : (unit -> unit) -> (unit -> 'a) -> 'a
 
 (** [true] when a governor with a finite spill watermark is installed

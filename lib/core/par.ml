@@ -165,21 +165,25 @@ let run_tasks (tasks : (unit -> unit) array) =
   else if nt = 1 then tasks.(0) ()
   else begin
     let errs = Array.make nt None in
-    (* A process-wide governor is visible from any domain, but a
-       *scoped* one (the query server's per-query overlay) lives in the
-       caller's domain-local slot — capture it here and re-install it on
-       every task, so a pooled worker ticks, charges and aborts against
-       the same budgets as the domain that forked it, and leaves the
-       worker's slot as it found it. Re-installing on the caller's own
-       (or an inline) task is a harmless re-entry: it shadows the slot
-       with the value it already holds. *)
-    let scoped = Governor.scoped_current () in
+    (* The caller's governor travels with its tasks: one that runs on
+       this domain (task 0, an inline fallback, a reclaimed sibling)
+       keeps this domain's install — its tick phase and pressure
+       callbacks — while one on a pool worker gets a fresh install of
+       the same governor for its duration, so every task ticks,
+       charges and aborts against one budget and the worker is left
+       as it was found. *)
+    let gov = Governor.current () in
     let guarded i () =
-      Governor.with_scoped_opt scoped (fun () ->
-          try tasks.(i) ()
-          with e ->
-            errs.(i) <- Some e;
-            Governor.begin_abort ())
+      let run () =
+        try tasks.(i) ()
+        with e ->
+          errs.(i) <- Some e;
+          Governor.begin_abort ()
+      in
+      match (gov, Governor.current ()) with
+      | Some g, Some here when g == here -> run ()
+      | Some g, _ -> Governor.with_governor g run
+      | None, _ -> run ()
     in
     let inline, pooled =
       List.partition

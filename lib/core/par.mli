@@ -24,8 +24,10 @@ val degree_cap : int
     injected via [Governor.set_faults] / [XQ_FAULTS] (or no worker can
     be spawned at all), the affected tasks run sequentially on the
     caller instead — one warning on stderr per process, identical
-    output. A running task sees the caller's scoped governor, and a
-    worker's slot is restored when the task ends. A failing task marks
+    output. A running task sees the caller's governor: on the
+    calling domain through the caller's own install (tick phase and
+    pressure callbacks), on a worker through a fresh install of the
+    same governor that is removed when the task ends. A failing task marks
     an abort on the installed governor, cancelling siblings at their
     next [Governor.tick]; once all tasks have finished the marks are
     released and the lowest-indexed real exception is re-raised

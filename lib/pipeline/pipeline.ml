@@ -138,7 +138,7 @@ let load_to_string = function
   | Projected (ps, _) -> "projected: " ^ Xq_xml.Xml_stream.path_set_to_string ps
   | Whole_document reason -> "whole document: " ^ reason
 
-let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config
+let run ?(force_governor = false) ?on_governor ?config
     ?(knobs = default_knobs) ?(indent = false) ?(explain_analyze = false)
     ?compiled ?source ?load_doc ?stream_source () =
   (* the query's one configuration: everything below reads it *)
@@ -150,12 +150,7 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor ?config
     match Governor.of_config ~force:force_governor config with
     | None -> f None
     | Some g ->
-      let install =
-        match scope with
-        | `Process -> Governor.with_governor
-        | `Domain -> Governor.with_scoped_governor
-      in
-      install g (fun () ->
+      Governor.with_governor g (fun () ->
           (match on_governor with Some cb -> cb g | None -> ());
           f (Some g))
   in

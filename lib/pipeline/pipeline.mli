@@ -7,9 +7,9 @@
     then full serialization before anything is
     written ({!render} — a trip mid-query can never leave partial
     output). {!run} wraps the whole thing in a governor built from the
-    query's configuration ({!resolve}), installed either process-wide
-    (CLI semantics) or scoped to the calling domain (the server's
-    concurrent-query semantics).
+    query's configuration ({!resolve}), installed on the calling
+    domain — so concurrent queries on different domains (the server's
+    pool workers) never see each other's budgets.
 
     {!compile}'s result is the server's plan-cache artifact: the
     setup cost a resident process amortizes is parsing, static
@@ -146,10 +146,9 @@ type report = {
 }
 
 (** The full governed pipeline: resolve the query's configuration
-    ([resolve ?base:config knobs]), build its governor, install it
-    ([`Process] = process-wide, CLI semantics;
-    [`Domain] = scoped to this domain, server semantics), load the
-    document inside the governed region (input limits apply),
+    ([resolve ?base:config knobs]), build its governor, install it on
+    the calling domain ({!Xq_governor.Governor.with_governor}; the
+    query's parallel tasks inherit it), load the document inside the governed region (input limits apply),
     rebaseline so memory budgets cover the query's own work, compile
     [source] (or reuse [compiled]), evaluate, and serialize fully.
     [explain_analyze] renders the executed operator tree instead of
@@ -174,7 +173,6 @@ type report = {
     streamed when the result would be, plus a [stream:] line naming the
     load used, {!load_to_string}) and render. *)
 val run :
-  ?scope:[ `Process | `Domain ] ->
   ?force_governor:bool ->
   ?on_governor:(Xq_governor.Governor.t -> unit) ->
   ?config:Xq_governor.Config.t ->

@@ -42,7 +42,7 @@ type counters = {
 }
 
 (* One admitted request, from admission to its response. [gov] is its
-   scoped governor once the query has created it; [cancelled] reaches a
+   governor once the query has created it; [cancelled] reaches a
    request still waiting in the pool queue, which has no governor yet. *)
 type ticket = { mutable gov : Governor.t option; mutable cancelled : bool }
 
@@ -278,7 +278,8 @@ let run_request t (rq : Protocol.run_request) =
   (* Everything below runs on a pool worker: compilation (so a parse
      error costs the client, not the accept loop), document loading
      (resident store for paths, per-query parse for inline XML) and
-     evaluation under the query's own scoped governor. *)
+     evaluation under the query's own governor, installed on the
+     worker's domain. *)
   let ticket = register_inflight t in
   let work () =
     check_cancelled t ticket;
@@ -306,7 +307,7 @@ let run_request t (rq : Protocol.run_request) =
     (* every server query is governed (unlimited if no knob set a
        limit), so a drain deadline can cancel it cooperatively *)
     let report =
-      Pipeline.run ~scope:`Domain ~force_governor:true
+      Pipeline.run ~force_governor:true
         ~on_governor:(attach_governor t ticket) ~config ~indent:rq.rq_indent
         ~compiled ?load_doc ?stream_source ()
     in
@@ -323,7 +324,7 @@ let run_request t (rq : Protocol.run_request) =
       | None ->
         (* no pool worker can be spawned: run on this thread,
            serialized so two inline queries never share the calling
-           domain's scoped-governor slot *)
+           domain's governor install *)
         Mutex.protect t.inline_lock work)
 
 (* --- stats -------------------------------------------------------------- *)

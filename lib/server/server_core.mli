@@ -16,9 +16,9 @@
       already makes admitted queries degrade rather than die.
     - Each admitted query runs on a worker of the process's one
       long-lived domain pool ({!Xq_par.Par.on_pool}; at most one worker
-      per core, spawned lazily and reused), under its own {e scoped}
-      governor ({!Xq_governor.Governor.with_scoped_governor}), so
-      per-query deadlines, budgets and cancellation never touch a
+      per core, spawned lazily and reused), under its own governor,
+      installed on that worker's domain
+      ({!Xq_governor.Governor.with_governor}), so per-query deadlines, budgets and cancellation never touch a
       neighbour. Admitted queries beyond the worker count wait in the
       pool's queue. Execution goes through {!Xq_pipeline.Pipeline} — the
       identical compile-and-run path the CLI, REPL and fuzzer use, so
@@ -94,7 +94,7 @@ val request_drain : t -> unit
 
 val draining : t -> bool
 
-(** Cancel every admitted query: an executing one through its scoped
+(** Cancel every admitted query: an executing one through its
     governor (it trips [XQENG0004] within a stride), one still queued
     for a pool worker before it starts (it fails with the same
     [XQENG0004]). Each answers its client with a clean ERR. Returns how

@@ -242,7 +242,7 @@ let pool_tests =
           let g = Governor.create () in
           (match
              Par.on_pool (fun () ->
-                 Governor.with_scoped_governor g (fun () ->
+                 Governor.with_governor g (fun () ->
                      Par.run_tasks
                        (Array.init 4 (fun k () ->
                             if k = 0 then begin
@@ -255,13 +255,9 @@ let pool_tests =
           | _ -> Alcotest.failf "round %d: the cancelled job did not trip" round
           | exception Xerror.Error (Xerror.XQENG0004, _) -> ());
           check_int "abort marks released" 0 (Governor.pending_aborts g);
-          match
-            Par.on_pool (fun () ->
-                (Governor.scoped_current () = None, Governor.current () = None))
-          with
-          | Some (no_scoped, no_current) ->
-            check_bool "no scoped governor left behind" true no_scoped;
-            check_bool "no governor installed" true no_current
+          match Par.on_pool (fun () -> Governor.current () = None) with
+          | Some no_current ->
+            check_bool "no governor left behind" true no_current
           | None -> Alcotest.fail "no pool worker"
         done;
         check_pool_bound ());
@@ -307,10 +303,95 @@ let pool_tests =
           warnings);
   ]
 
+(* --- governor inheritance across a fork ---------------------------------- *)
+
+(* Spin until [ready ()] holds; gives up after 30 s so a pool that never
+   runs a task fails instead of hanging. *)
+let spin_until ready =
+  let give_up = Unix.gettimeofday () +. 30.0 in
+  while not (ready ()) do
+    if Unix.gettimeofday () > give_up then failwith "wait timed out";
+    Domain.cpu_relax ()
+  done
+
+let inheritance_tests =
+  [
+    test "tasks inherit the forking domain's governor" (fun () ->
+        let main = (Domain.self () :> int) in
+        let g = Governor.create ~spill_watermark_bytes:(1 lsl 20) () in
+        let fired_on = ref [] in
+        Governor.with_governor g (fun () ->
+            Governor.with_pressure_callback
+              (fun () -> fired_on := (Domain.self () :> int) :: !fired_on)
+              (fun () ->
+                let sees_g = Array.make 4 false in
+                let on_worker = Atomic.make 0 in
+                Par.run_tasks
+                  (Array.init 4 (fun k () ->
+                       sees_g.(k) <-
+                         (match Governor.current () with
+                          | Some x -> x == g
+                          | None -> false);
+                       if k = 0 then begin
+                         (* hold the forking domain until a worker has
+                            charged, then cross the watermark here *)
+                         spin_until (fun () -> Atomic.get on_worker > 0);
+                         Governor.charge_bytes (2 lsl 20)
+                       end
+                       else begin
+                         Governor.charge_bytes 1000;
+                         if (Domain.self () :> int) <> main then
+                           Atomic.incr on_worker
+                       end));
+                Array.iteri
+                  (fun k ok ->
+                    check_bool (Printf.sprintf "task %d sees g" k) true ok)
+                  sees_g;
+                check_int "every charge landed in g" ((2 lsl 20) + 3000)
+                  (Governor.stats g).Governor.s_charged_bytes;
+                check_bool "task 0 fired the forking domain's callback" true
+                  (!fired_on <> []
+                  && List.for_all (fun id -> id = main) !fired_on)));
+        (* cancelling g reaches tasks ticking on pool workers *)
+        let g = Governor.create () in
+        let worker_trips = Atomic.make 0 and ticking = Atomic.make 0 in
+        (match
+           Governor.with_governor g (fun () ->
+               Par.run_tasks
+                 (Array.init 4 (fun k () ->
+                      if k = 0 then begin
+                        spin_until (fun () -> Atomic.get ticking > 0);
+                        Governor.cancel g
+                      end
+                      else
+                        let on_worker = (Domain.self () :> int) <> main in
+                        let deadline = Unix.gettimeofday () +. 10.0 in
+                        try
+                          while Unix.gettimeofday () < deadline do
+                            if on_worker then Atomic.incr ticking;
+                            Governor.tick ()
+                          done
+                        with Xerror.Error (Xerror.XQENG0004, _) as e ->
+                          if on_worker then Atomic.incr worker_trips;
+                          raise e)))
+         with
+        | () -> Alcotest.fail "expected XQENG0004"
+        | exception Xerror.Error (Xerror.XQENG0004, _) -> ());
+        check_bool "a worker task tripped XQENG0004" true
+          (Atomic.get worker_trips > 0);
+        (* no worker keeps an install once its task has ended *)
+        let clean = Array.make (2 * cores) false in
+        Par.run_tasks
+          (Array.init (2 * cores) (fun k () ->
+               clean.(k) <- Governor.current () = None));
+        check_bool "no install left behind" true (Array.for_all Fun.id clean));
+  ]
+
 let suites =
   [
     ("par.run-tasks", run_tasks_tests);
     ("par.fallback", fallback_tests);
     ("par.cancellation", cancellation_tests);
+    ("par.inheritance", inheritance_tests);
     ("par.pool", pool_tests);
   ]

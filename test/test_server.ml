@@ -389,7 +389,7 @@ let pars text =
 
 (* A header-less EXPLAIN ANALYZE through the pipeline. *)
 let explain_headerless () =
-  (Pipeline.run ~scope:`Domain ~explain_analyze:true ~source:degree_q
+  (Pipeline.run ~explain_analyze:true ~source:degree_q
      ~load_doc:degree_doc ())
     .Pipeline.r_output
 
@@ -414,7 +414,7 @@ let await l =
   done
 
 let run_at ?load_doc degree =
-  (Pipeline.run ~scope:`Domain
+  (Pipeline.run
      ~knobs:{ Pipeline.default_knobs with Pipeline.k_parallel = Some degree }
      ~source:degree_q ?load_doc ())
     .Pipeline.r_output
@@ -552,7 +552,7 @@ let test_mixed_knob_concurrency () =
       ]
   in
   let run ?load_doc (batch, agg_pushdown, dict, strategy, parallel) =
-    (Pipeline.run ~scope:`Domain
+    (Pipeline.run
        ~config:(C.resolve ~agg_pushdown ~dict ())
        ~knobs:
          {

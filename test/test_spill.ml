@@ -181,21 +181,21 @@ let pressure_tests =
             Governor.with_pressure_callback
               (fun () -> ran_on := (Domain.self () :> int) :: !ran_on)
               (fun () ->
-                (* spawn fresh domains until one's id collides with this
-                   domain's callback slot (ids equal mod the slot-table
-                   size, 128), and push it past the watermark there: the
-                   callback must be skipped, not run cross-domain *)
+                (* spawn fresh domains until one's id equals this
+                   domain's modulo 128 (a collision in any table indexed
+                   by domain id), install g there and push it past the
+                   watermark: this domain's callback must not run there *)
                 let collided = ref false and tries = ref 0 in
                 while (not !collided) && !tries < 512 do
                   incr tries;
                   let d =
                     Domain.spawn (fun () ->
                         if (Domain.self () :> int) land 127 = me land 127
-                        then begin
-                          Governor.charge_bytes 1024;
-                          Governor.uncharge_bytes 1024;
-                          true
-                        end
+                        then
+                          Governor.with_governor g (fun () ->
+                              Governor.charge_bytes 1024;
+                              Governor.uncharge_bytes 1024;
+                              true)
                         else false)
                   in
                   if Domain.join d then collided := true
@@ -208,6 +208,69 @@ let pressure_tests =
                 Governor.uncharge_bytes 1024;
                 check_bool "still fires on the owning domain" true
                   (List.length !ran_on > before))));
+    test "colliding domains each fire their own pressure callback"
+      (fun () ->
+        (* domain ids only grow, so once a process has spawned enough
+           domains two live ones share an id modulo any fixed table
+           size: each must still reach its own callback *)
+        let g = Governor.create ~spill_watermark_bytes:16 () in
+        let me = (Domain.self () :> int) in
+        let wait_for flag =
+          let give_up = Unix.gettimeofday () +. 30.0 in
+          while not (Stdlib.Atomic.get flag) do
+            if Unix.gettimeofday () > give_up then failwith "rendezvous timed out";
+            Domain.cpu_relax ()
+          done
+        in
+        Governor.with_governor g (fun () ->
+            let a_fired = ref 0 in
+            Governor.with_pressure_callback
+              (fun () -> incr a_fired)
+              (fun () ->
+                let b_ran_on = Stdlib.Atomic.make [] in
+                let ready = Stdlib.Atomic.make false and go = Stdlib.Atomic.make false in
+                let colliding = ref None and tries = ref 0 in
+                while !colliding = None && !tries < 512 do
+                  incr tries;
+                  let d =
+                    Domain.spawn (fun () ->
+                        let self = (Domain.self () :> int) in
+                        if self land 127 = me land 127 then
+                          Governor.with_governor g (fun () ->
+                              Governor.with_pressure_callback
+                                (fun () ->
+                                  Stdlib.Atomic.set b_ran_on
+                                    ((Domain.self () :> int)
+                                    :: Stdlib.Atomic.get b_ran_on))
+                                (fun () ->
+                                  Stdlib.Atomic.set ready true;
+                                  wait_for go;
+                                  Governor.charge_bytes 1024;
+                                  Governor.uncharge_bytes 1024;
+                                  Some self))
+                        else None)
+                  in
+                  if (Domain.get_id d :> int) land 127 = me land 127 then
+                    colliding := Some d
+                  else ignore (Domain.join d)
+                done;
+                match !colliding with
+                | None -> Alcotest.fail "no colliding domain"
+                | Some d ->
+                  wait_for ready;
+                  let before = !a_fired in
+                  Governor.charge_bytes 1024;
+                  Governor.uncharge_bytes 1024;
+                  Stdlib.Atomic.set go true;
+                  let other = Domain.join d in
+                  check_bool "fires on this domain" true (!a_fired > before);
+                  check_bool "the colliding domain fired its own" true
+                    (match (other, Stdlib.Atomic.get b_ran_on) with
+                     | Some id, (_ :: _ as ids) ->
+                       List.for_all (fun x -> x = id) ids
+                     | _ -> false);
+                  check_int "this domain's callback ran only here" (before + 1)
+                    !a_fired)));
     test "a watermark alone arms the governor via of_limits" (fun () ->
         match Governor.of_limits ~spill_watermark_bytes:4096 () with
         | Some g ->

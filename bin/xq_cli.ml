@@ -4,7 +4,7 @@
      xq eval 'for $x in (1,2) return $x * 2'
      xq check query.xq
      xq plan query.xq [--rewrite]
-     xq gen orders --lineitems 8000 > orders.xml
+     xq gen orders --size 8000 > orders.xml
 *)
 
 open Cmdliner
@@ -427,15 +427,15 @@ let profile_cmd =
 
 let gen_cmd =
   let workload =
-    let doc = "Workload: orders, sales or bibliography." in
+    let doc = "Workload: orders, sales, bibliography or auction." in
     Arg.(
       required
       & pos 0 (some (enum [ ("orders", `Orders); ("sales", `Sales);
-                            ("bibliography", `Bib) ])) None
+                            ("bibliography", `Bib); ("auction", `Auction) ])) None
       & info [] ~docv:"WORKLOAD" ~doc)
   in
   let size =
-    let doc = "Collection size (lineitems / sales / books)." in
+    let doc = "Collection size: lineitems (orders), sales, books or items (auction)." in
     Arg.(value & opt int 1000 & info [ "n"; "size" ] ~docv:"N" ~doc)
   in
   let seed =
@@ -451,6 +451,7 @@ let gen_cmd =
       | `Bib ->
         Xq_workload.Bibliography.(
           generate { default with books = size; with_categories = true; seed })
+      | `Auction -> Xq_workload.Auction.(generate { default with items = size; seed })
     in
     print_endline (Xq.Xml.Serialize.node node);
     0

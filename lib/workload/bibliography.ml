@@ -57,8 +57,8 @@ let rec random_category rng (Cat (name, children)) depth =
 let generate p =
   let rng = Prng.create p.seed in
   let lo_year, hi_year = p.years in
-  let publisher i = Printf.sprintf "Publisher %02d" i in
-  let author i = Printf.sprintf "Author %02d" i in
+  let publisher i = "Publisher " ^ Numfmt.two_digits i in
+  let author i = "Author " ^ Numfmt.two_digits i in
   let book i =
     let n_authors = Prng.int rng (p.max_authors + 1) in
     let authors =
@@ -87,11 +87,14 @@ let generate p =
       end
     in
     el "book"
-      ([ el_text "title" (Printf.sprintf "Book %d" i) ]
+      ([ el_text "title" ("Book " ^ string_of_int i) ]
        @ authors @ pub
        @ [ el_text "year" (string_of_int year);
-           el_text "price" (Printf.sprintf "%.2f" price);
-           el_text "discount" (Printf.sprintf "%.2f" discount) ]
+           el_text "price" (Numfmt.fixed2 price);
+           el_text "discount" (Numfmt.fixed2 discount) ]
        @ categories)
   in
-  doc (el "bib" (List.init p.books book))
+  fill "bib" (fun add ->
+      for i = 0 to p.books - 1 do
+        add (book i)
+      done)

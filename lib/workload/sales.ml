@@ -36,9 +36,7 @@ let generate p =
     let month = 1 + Prng.int rng 12 in
     let day = 1 + Prng.int rng 28 in
     let hour = Prng.int rng 24 and minute = Prng.int rng 60 and sec = Prng.int rng 60 in
-    let timestamp =
-      Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02d" year month day hour minute sec
-    in
+    let timestamp = Numfmt.date year month day ^ Numfmt.time hour minute sec in
     let product = products_pool.(Prng.int rng (min p.products (Array.length products_pool))) in
     let quantity = 1 + Prng.int rng 20 in
     let price = 1.0 +. Prng.float rng 49.0 in
@@ -48,6 +46,9 @@ let generate p =
         el_text "state" state;
         el_text "region" region;
         el_text "quantity" (string_of_int quantity);
-        el_text "price" (Printf.sprintf "%.2f" price) ]
+        el_text "price" (Numfmt.fixed2 price) ]
   in
-  doc (el "sales" (List.init p.sales sale))
+  fill "sales" (fun add ->
+      for i = 0 to p.sales - 1 do
+        add (sale i)
+      done)

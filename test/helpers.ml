@@ -64,6 +64,26 @@ let leaf_read_ok n =
     && Node.text_content t = Node.string_value n
   | _ -> false
 
+(* The full form of [n]: every element rebuilt with [Node.element] and
+   [Node.append_child], none made a leaf. *)
+let rec full_form n =
+  match Node.kind n with
+  | Node.Document ->
+    let d = Node.document () in
+    List.iter (fun c -> Node.append_child d (full_form c)) (Node.children n);
+    Node.seal d;
+    d
+  | Node.Element ->
+    let e = Node.element (Option.get (Node.name n)) in
+    List.iter (fun a -> Node.set_attribute e (full_form a)) (Node.attributes n);
+    List.iter (fun c -> Node.append_child e (full_form c)) (Node.children n);
+    Node.seal e;
+    e
+  | Node.Attribute -> Node.attribute (Option.get (Node.name n)) (Node.attribute_value n)
+  | Node.Text -> Node.text (Node.text_content n)
+  | Node.Comment -> Node.comment (Node.comment_text n)
+  | Node.Pi -> Node.pi ~target:(Node.pi_target n) ~data:(Node.pi_data n)
+
 (* The Section 2 bibliography, reused across many suites. *)
 let bib =
   {|<bib>

@@ -63,8 +63,14 @@ let gen_tree : Xq_xml.Builder.part QCheck.Gen.t =
          in
          map3 Xq_xml.Builder.el_attrs name gen_attrs children)
 
+(* The builder makes leaves; half the roots are rebuilt in full form, so
+   the properties over pairs and copies also compare the two forms. *)
 let gen_root : Node.t QCheck.Gen.t =
-  QCheck.Gen.map Xq_xml.Builder.build gen_tree
+  QCheck.Gen.map2
+    (fun t full ->
+      let n = Xq_xml.Builder.build t in
+      if full then Helpers.full_form n else n)
+    gen_tree QCheck.Gen.bool
 
 let arb_sequence = QCheck.make ~print:(fun s -> Xq_xml.Serialize.sequence s) gen_sequence
 let arb_root = QCheck.make ~print:(fun n -> Xq_xml.Serialize.node n) gen_root

@@ -152,10 +152,54 @@ let orders_tests =
           (Deep_equal.nodes (Orders.generate p) (Orders.generate p)));
   ]
 
+(* The MD5 of [Serialize.node] of each document perfbench generates, of
+   [xq gen orders --size 2000]'s (the CLI's Orders parameters; its
+   [sales --size 400] and [bibliography --size 300] are perfbench's),
+   and of the default Auction document. The generators draw from one
+   [Prng] stream, so a draw moved or a number formatted differently
+   changes these bytes; perfbench's committed digests depend on them.
+   [workload.cli] checks that [xq gen] prints the tree and a newline. *)
+let pinned_tests =
+  let md5 d = Digest.to_hex (Digest.string (Xq_xml.Serialize.node d)) in
+  let orders n =
+    Orders.generate { (Orders.with_lineitems n Orders.default) with tax_card = 100; seed = 42 }
+  in
+  let pin name digest gen = test name (fun () -> check_string name digest (md5 (gen ()))) in
+  [
+    pin "orders 2000 lineitems" "615d4199901900ee2c02e80c853afa16" (fun () -> orders 2000);
+    pin "orders 2000 lineitems, xq gen's parameters" "5b786c21207626a7015dc1a77fc06c52"
+      (fun () -> Orders.generate { (Orders.with_lineitems 2000 Orders.default) with seed = 42 });
+    pin "orders 3000 lineitems" "faef6b9c95535fcfb9ff88b788b4e9b0" (fun () -> orders 3000);
+    pin "sales 400" "e9a1552067bd6bb6bc9222c073a7c6a1" (fun () ->
+        Sales.generate { Sales.default with sales = 400; seed = 42 });
+    pin "bibliography 300 with categories" "916fce4f17d3c741b96d23e489ebba4d" (fun () ->
+        Bibliography.generate
+          { Bibliography.default with books = 300; with_categories = true; seed = 42 });
+    pin "auction default" "da8b49472bc76a00c7cbe605022675ac" (fun () ->
+        Auction.generate Auction.default);
+  ]
+
+(* [xq gen] prints the generator's document and a newline; [--size] is
+   the item count for Auction. *)
+let cli_tests =
+  let cli = Filename.concat ".." (Filename.concat "bin" "xq_cli.exe") in
+  [
+    test "xq gen auction sets items from --size" (fun () ->
+        let args = [| cli; "gen"; "auction"; "--size"; "12"; "--seed"; "5" |] in
+        let ic = Unix.open_process_args_in cli args in
+        let out = In_channel.input_all ic in
+        check_bool "exit 0" true (Unix.close_process_in ic = Unix.WEXITED 0);
+        let d = Auction.generate { Auction.default with items = 12; seed = 5 } in
+        check_string "document" (Xq_xml.Serialize.node d ^ "\n") out;
+        check_string "items" "12" (run_on d "count(//item)"));
+  ]
+
 let suites =
   [
     ("workload.prng", prng_tests);
     ("workload.bibliography", bibliography_tests);
     ("workload.sales", sales_tests);
     ("workload.orders", orders_tests);
+    ("workload.pinned", pinned_tests);
+    ("workload.cli", cli_tests);
   ]

@@ -488,17 +488,28 @@ let leaf_tests =
           (fun (name, built) ->
             let xml = serialize built in
             let parsed = parse xml in
+            let whole = full_form built in
             if leaf_count parsed = 0 then Alcotest.failf "%s: no leaves" name;
-            check_int (name ^ ": builder makes no leaves") 0 (leaf_count built);
-            check_bool (name ^ ": deep-equal") true (Deep_equal.nodes parsed built);
-            check_int (name ^ ": hash") (Deep_equal.hash_item (Item.Node built))
+            check_int (name ^ ": full form has no leaves") 0 (leaf_count whole);
+            (* the builder makes the parser's form *)
+            Alcotest.(check (list bool)) (name ^ ": leaf flags")
+              (List.map Node.is_leaf (elements parsed))
+              (List.map Node.is_leaf (elements built));
+            check_int (name ^ ": heap words") (Node.heap_words parsed)
+              (Node.heap_words built);
+            let ids = fst (shape built) in
+            check_bool (name ^ ": ids in preorder") true (List.sort compare ids = ids);
+            (* a full-form tree and a leaf-form tree compare as equal *)
+            check_bool (name ^ ": deep-equal") true (Deep_equal.nodes parsed whole);
+            check_int (name ^ ": hash") (Deep_equal.hash_item (Item.Node whole))
               (Deep_equal.hash_item (Item.Node parsed));
             let key n = Xq_engine.Key.canonicalize [ [ Item.Node n ] ] in
             check_bool (name ^ ": grouping key") true
-              (Xq_engine.Key.equal (key parsed) (key built));
+              (Xq_engine.Key.equal (key parsed) (key whole));
             check_string (name ^ ": bytes") xml (serialize parsed);
+            check_string (name ^ ": full-form bytes") xml (serialize whole);
             check_string (name ^ ": indented bytes")
-              (Xq_xml.Serialize.node ~indent:true built)
+              (Xq_xml.Serialize.node ~indent:true whole)
               (Xq_xml.Serialize.node ~indent:true parsed);
             check_bool (name ^ ": sealed") true (all_sealed parsed))
           (seeded_docs ()));
